@@ -3,10 +3,8 @@ control-node selection, and exact/asymptotic labeled-graph enumeration."""
 
 from .control import (
     ControlPlan,
-    GerschgorinDisc,
     SelectionReport,
     StabilizationCheck,
-    compute_discs,
     select_nodes,
     tune_betas,
     verify_stabilization,
@@ -17,8 +15,8 @@ from .dynamics import (
     NodeParams,
     SpectralEstimate,
     Trajectory,
+    classify_sigma,
     linear_bound_step,
-    non_infection_probability,
     simulate,
     sis_step,
     spectral_radius,
@@ -69,6 +67,7 @@ from .oracles import (
     brute_count_regular,
     dense_spectral_radius,
     iter_graph_masks,
+    non_infection_probability,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from datetime import datetime, timezone
@@ -20,6 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import control, dynamics, enumeration, graphs, oracles
+from .output import open_output, write_csv
 
 # Connected-count prefix (orders 1..11) pinned for the self-check.
 _KNOWN_CONNECTED_PREFIX = (
@@ -36,8 +36,6 @@ _KNOWN_CONNECTED_PREFIX = (
     35641657548953344,
 )
 
-_MARGINAL_BAND = 1e-6
-
 
 def _timestamp_comment(reproducible: bool) -> str | None:
     if reproducible:
@@ -45,36 +43,9 @@ def _timestamp_comment(reproducible: bool) -> str | None:
     return f"generated {datetime.now(timezone.utc).isoformat()}"
 
 
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _write_csv(path, header: str, rows, reproducible: bool) -> None:
-    fh, close = _open_out(path)
-    try:
-        stamp = _timestamp_comment(reproducible)
-        if stamp is not None:
-            fh.write(f"# {stamp}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
-    finally:
-        if close:
-            fh.close()
-
-
-def _max_threads() -> int:
-    """Parallelism cap from NETQUENCH_THREADS (the implementation currently
-    runs single-threaded, which always respects the cap)."""
-    raw = os.environ.get("NETQUENCH_THREADS")
-    if raw is None:
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"NETQUENCH_THREADS must be a positive integer, got {raw!r}")
-    return value
+    text = (",".join(map(str, row)) + "\n" for row in rows)
+    write_csv(path, header, text, _timestamp_comment(reproducible))
 
 
 def parse_p0_spec(spec: str, n: int) -> np.ndarray:
@@ -121,38 +92,30 @@ def cmd_generate(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown graph kind {args.kind!r}")
     text = graphs.serialize_edge_list(g, comment=_timestamp_comment(args.reproducible))
-    fh, close = _open_out(args.out)
-    try:
+    with open_output(args.out) as fh:
         fh.write(text)
-    finally:
-        if close:
-            fh.close()
     print(f"wrote {args.kind} graph: n={g.n}, edges={g.num_edges}", file=sys.stderr)
     return 0
 
 
-def _analysis_payload(g: graphs.Graph, params: dynamics.NodeParams, reproducible: bool) -> dict:
+def _analysis_payload(
+    g: graphs.Graph,
+    params: dynamics.NodeParams,
+    report: control.SelectionReport,
+    reproducible: bool,
+) -> dict:
     est = dynamics.spectral_radius(g, params)
-    report = control.select_nodes(g, params)
-    if est.converged:
-        if est.sigma < 1.0 - _MARGINAL_BAND:
-            verdict = "stable"
-        elif est.sigma > 1.0 + _MARGINAL_BAND:
-            verdict = "unstable"
-        else:
-            verdict = "marginal"
-    else:
-        verdict = "unconverged"
     payload = {
         "n": g.n,
         "num_edges": g.num_edges,
         "sigma": est.sigma,
         "sigma_converged": est.converged,
-        "verdict": verdict,
-        "margins": [float(m) for m in report.margins],
+        "verdict": dynamics.classify_sigma(est.sigma) if est.converged else "unconverged",
+        "margins": report.margins.tolist(),
         "flagged": sorted(report.flagged),
         "discs": [
-            {"node": d.node, "center": d.center, "radius": d.radius} for d in report.discs
+            {"node": i, "center": c, "radius": r}
+            for i, (c, r) in enumerate(zip(report.centers.tolist(), report.radii.tolist()))
         ],
     }
     stamp = _timestamp_comment(reproducible)
@@ -164,16 +127,12 @@ def _analysis_payload(g: graphs.Graph, params: dynamics.NodeParams, reproducible
 def cmd_analyze(args) -> int:
     g = graphs.read_graph(args.graph)
     params = dynamics.load_params(args.params)
-    payload = _analysis_payload(g, params, args.reproducible)
-    fh, close = _open_out(args.out)
-    try:
+    report = control.select_nodes(g, params)
+    payload = _analysis_payload(g, params, report, args.reproducible)
+    with open_output(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
     if args.report_csv:
-        report = control.select_nodes(g, params)
         control.write_selection_report(
             report, g, params, args.report_csv,
             header_comment=_timestamp_comment(args.reproducible),
@@ -427,7 +386,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _max_threads()
         return args.func(args)
     except (ValueError, ArithmeticError, dynamics.ConvergenceError,
             graphs.GenerationError, OSError) as exc:

@@ -10,32 +10,25 @@ hence for extinction of the bound dynamics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import ConvergenceError, NodeParams, spectral_radius
 from .graphs import Graph
+from .output import write_csv
 
 DEFAULT_SAFETY = 0.9
 
 
-@dataclass(frozen=True)
-class GerschgorinDisc:
-    """Disc for one node: center 1 - mu_i, radius beta_i r_i deg(i)."""
-
-    node: int
-    center: float
-    radius: float
-
-
 @dataclass(frozen=True, eq=False)
 class SelectionReport:
-    """Discs for all nodes, the flagged set {i : margin_i <= 0}, and the
-    margins mu_i - beta_i r_i deg(i) (most negative = most critical)."""
+    """Per-node disc centers 1 - mu_i and radii beta_i r_i deg(i), the
+    flagged set {i : margin_i <= 0}, and the margins mu_i - beta_i r_i deg(i)
+    (most negative = most critical).  The arrays are read-only."""
 
-    discs: tuple[GerschgorinDisc, ...]
+    centers: np.ndarray
+    radii: np.ndarray
     flagged: frozenset[int]
     margins: np.ndarray
 
@@ -55,24 +48,18 @@ class StabilizationCheck:
     stable: bool
 
 
-def compute_discs(g: Graph, params: NodeParams) -> list[GerschgorinDisc]:
-    if params.n != g.n:
-        raise ValueError("parameter length does not match graph order")
-    radii = params.beta * params.r * g.degrees
-    return [
-        GerschgorinDisc(i, float(1.0 - params.mu[i]), float(radii[i]))
-        for i in range(g.n)
-    ]
-
-
 def select_nodes(g: Graph, params: NodeParams) -> SelectionReport:
     """Flag every node violating beta_i r_i deg(i) < mu_i (non-strictly, so
     the boundary case is controlled too)."""
-    discs = tuple(compute_discs(g, params))
-    margins = params.mu - params.beta * params.r * g.degrees
-    margins.flags.writeable = False
-    flagged = frozenset(int(i) for i in np.nonzero(margins <= 0.0)[0])
-    return SelectionReport(discs, flagged, margins)
+    if params.n != g.n:
+        raise ValueError(f"parameter length {params.n} does not match graph order {g.n}")
+    centers = 1.0 - params.mu
+    radii = params.beta * params.r * g.degrees
+    margins = params.mu - radii
+    for arr in (centers, radii, margins):
+        arr.flags.writeable = False
+    flagged = frozenset(np.flatnonzero(margins <= 0.0).tolist())
+    return SelectionReport(centers, radii, flagged, margins)
 
 
 def tune_betas(
@@ -122,23 +109,12 @@ def write_selection_report(
     header_comment: str | None = None,
 ) -> None:
     """CSV ``node,degree,mu,beta,r,margin,flagged`` sorted by node."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["node", "degree", "mu", "beta", "r", "margin", "flagged"])
-        for i in range(g.n):
-            writer.writerow(
-                [
-                    i,
-                    int(g.degrees[i]),
-                    repr(float(params.mu[i])),
-                    repr(float(params.beta[i])),
-                    repr(float(params.r[i])),
-                    repr(float(report.margins[i])),
-                    int(i in report.flagged),
-                ]
-            )
+    columns = (g.degrees, params.mu, params.beta, params.r, report.margins)
+    rows = (
+        f"{i},{d},{m!r},{b!r},{c!r},{x!r},{int(i in report.flagged)}\n"
+        for i, (d, m, b, c, x) in enumerate(zip(*(col.tolist() for col in columns)))
+    )
+    write_csv(path, "node,degree,mu,beta,r,margin,flagged", rows, header_comment)
 
 
 def write_control_plan(
@@ -148,10 +124,8 @@ def write_control_plan(
     header_comment: str | None = None,
 ) -> None:
     """CSV ``node,beta_old,beta_new`` for tuned nodes only, sorted by node."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["node", "beta_old", "beta_new"])
-        for i in sorted(plan.new_beta):
-            writer.writerow([i, repr(float(original.beta[i])), repr(plan.new_beta[i])])
+    rows = (
+        f"{i},{float(original.beta[i])!r},{plan.new_beta[i]!r}\n"
+        for i in sorted(plan.new_beta)
+    )
+    write_csv(path, "node,beta_old,beta_new", rows, header_comment)

@@ -17,7 +17,6 @@ All functions are pure; states are plain float arrays in [0, 1]^n.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,10 +24,14 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph
+from .output import write_csv
 
 # A plateau of max_i p_i flatter than this (relative) counts toward the
 # endemic verdict.
 PLATEAU_RTOL = 1e-9
+
+# Half-width of the "marginal" band around the threshold sigma = 1.
+MARGINAL_TOL = 1e-6
 
 # H is only materialized densely up to this order unless the caller
 # explicitly raises the limit.
@@ -121,11 +124,10 @@ class LinearBoundSystem:
                 f"refusing to materialize dense {n}x{n} H (limit {limit}); "
                 "raise `limit` explicitly if this is intentional"
             )
-        h = np.diag(1.0 - self.params.mu)
+        g = self.graph
         w = self.params.beta * self.params.r
-        for i, j in self.graph.edges:
-            h[i, j] += w[i]
-            h[j, i] += w[j]
+        h = np.diag(1.0 - self.params.mu)
+        h[np.repeat(np.arange(n), g.degrees), g.indices] = np.repeat(w, g.degrees)
         return h
 
 
@@ -161,22 +163,10 @@ def zeta_vector(g: Graph, params: NodeParams, p: np.ndarray) -> np.ndarray:
     w = params.beta * params.r
     zeta = np.ones(g.n)
     if g.indices.size:
-        factors = 1.0 - w[g.row_ids] * p[g.indices]
+        factors = 1.0 - np.repeat(w, g.degrees) * p[g.indices]
         nz = g.degrees > 0
         zeta[nz] = np.multiply.reduceat(factors, g.indptr[:-1][nz])
     return zeta
-
-
-def non_infection_probability(g: Graph, params: NodeParams, p: Sequence[float], i: int) -> float:
-    """zeta_i for a single node."""
-    state = as_state(p, g.n)
-    if not 0 <= i < g.n:
-        raise ValueError(f"vertex id out of range: {i}")
-    w = float(params.beta[i] * params.r[i])
-    out = 1.0
-    for j in g.adj[i]:
-        out *= 1.0 - w * state[j]
-    return out
 
 
 def sis_step(g: Graph, params: NodeParams, p: np.ndarray) -> np.ndarray:
@@ -277,7 +267,7 @@ def spectral_radius(
 def threshold_check(
     g: Graph,
     params: NodeParams,
-    tol: float = 1e-6,
+    tol: float = MARGINAL_TOL,
     power_tol: float = 1e-12,
     max_iter: int = 100_000,
 ) -> str:
@@ -292,9 +282,14 @@ def threshold_check(
         raise ConvergenceError(
             f"spectral radius did not converge within {est.iterations} iterations"
         )
-    if est.sigma < 1.0 - tol:
+    return classify_sigma(est.sigma, tol)
+
+
+def classify_sigma(sigma: float, tol: float = MARGINAL_TOL) -> str:
+    """"stable" (sigma < 1 - tol), "unstable" (sigma > 1 + tol), else "marginal"."""
+    if sigma < 1.0 - tol:
         return "stable"
-    if est.sigma > 1.0 + tol:
+    if sigma > 1.0 + tol:
         return "unstable"
     return "marginal"
 
@@ -302,18 +297,20 @@ def threshold_check(
 def load_params(path) -> NodeParams:
     """Read the params CSV ``node,mu,beta,r``; node ids 0..n-1, each exactly once.
     Lines starting with ``#`` are skipped."""
-    rows: dict[int, tuple[float, float, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        data = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(data)
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip() and not line.startswith("#")]
     expected = ["node", "mu", "beta", "r"]
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != expected:
+    if not lines or [f.strip() for f in lines[0].split(",")] != expected:
         raise ValueError(f"params file must have header {','.join(expected)!r}")
-    for rec in reader:
-        node = int(rec["node"])
+    rows: dict[int, tuple[float, float, float]] = {}
+    for line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != len(expected):
+            raise ValueError(f"params row must have {len(expected)} fields: {line.strip()!r}")
+        node = int(fields[0])
         if node in rows:
             raise ValueError(f"duplicate node id {node} in params file")
-        rows[node] = (float(rec["mu"]), float(rec["beta"]), float(rec["r"]))
+        rows[node] = (float(fields[1]), float(fields[2]), float(fields[3]))
     n = len(rows)
     if n == 0:
         raise ValueError("params file has no rows")
@@ -326,22 +323,20 @@ def load_params(path) -> NodeParams:
 
 
 def save_params(params: NodeParams, path, header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        fh.write("node,mu,beta,r\n")
-        for i in range(params.n):
-            fh.write(
-                f"{i},{float(params.mu[i])!r},{float(params.beta[i])!r},{float(params.r[i])!r}\n"
-            )
+    """Params CSV ``node,mu,beta,r``, one row per node."""
+    rows = (
+        f"{i},{m!r},{b!r},{c!r}\n"
+        for i, (m, b, c) in enumerate(
+            zip(params.mu.tolist(), params.beta.tolist(), params.r.tolist())
+        )
+    )
+    write_csv(path, "node,mu,beta,r", rows, header_comment)
 
 
 def write_trajectory_csv(traj: Trajectory, path, header_comment: str | None = None) -> None:
     """Long-format trajectory: one ``t,node,p`` row per node per recorded step."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        fh.write("t,node,p\n")
-        for t, state in enumerate(traj.states):
-            for i, v in enumerate(state):
-                fh.write(f"{t},{i},{float(v)!r}\n")
+    steps = (
+        "".join(f"{t},{i},{v!r}\n" for i, v in enumerate(state.tolist()))
+        for t, state in enumerate(traj.states)
+    )
+    write_csv(path, "t,node,p", steps, header_comment)

@@ -45,9 +45,9 @@ class LogValue:
 class EgfSeries:
     """Truncated exponential generating function with exact coefficients.
 
-    ``coeffs[k]`` is the coefficient of x^k/k! (a Fraction).  multiply, exp
-    and log are exact over the rationals up to the truncation order; in this
-    representation they reduce to binomial convolutions with no divisions.
+    ``coeffs[k]`` is the coefficient of x^k/k! (a Fraction).  log is exact
+    over the rationals up to the truncation order; in this representation it
+    reduces to binomial convolutions with no divisions.
     """
 
     __slots__ = ("coeffs",)
@@ -60,26 +60,6 @@ class EgfSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def multiply(self, other: "EgfSeries") -> "EgfSeries":
-        order = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return EgfSeries(
-            [
-                sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
-                for n in range(order + 1)
-            ]
-        )
-
-    def exp(self) -> "EgfSeries":
-        """exp of a series with zero constant term, to the same order."""
-        g = self.coeffs
-        if g[0] != 0:
-            raise ValueError("exp needs a zero constant term")
-        h = [Fraction(1)]
-        for n in range(self.order):
-            h.append(sum(comb(n, j) * g[j + 1] * h[n - j] for j in range(n + 1)))
-        return EgfSeries(h)
 
     def log(self) -> "EgfSeries":
         """log of a series with unit constant term, to the same order."""

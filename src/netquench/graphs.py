@@ -30,79 +30,107 @@ class GenerationError(RuntimeError):
 
 
 class Graph:
-    """Immutable undirected simple graph (no self-loops, no multi-edges).
+    """Immutable undirected simple graph (no self-loops, no multi-edges),
+    stored as CSR adjacency.
 
     Attributes
     ----------
     n : int
         Vertex count; vertex ids are ``0..n-1``.
-    edges : tuple[tuple[int, int], ...]
-        Deduplicated edges as ``(i, j)`` with ``i < j``, sorted lexicographically.
-    adj : tuple[tuple[int, ...], ...]
-        Per-vertex sorted neighbor lists, symmetric with ``edges``.
-    indptr, indices, row_ids, degrees : numpy arrays
-        CSR-style views of the adjacency used for fast vectorized
-        matrix-vector products; one directed entry per edge direction.
+    indptr, indices : read-only int64 arrays
+        The sorted neighbors of ``i`` are ``indices[indptr[i]:indptr[i+1]]``;
+        one entry per edge direction.
+    degrees : read-only int64 array
+        Per-vertex degree, ``indptr[i+1] - indptr[i]``.
     """
 
-    __slots__ = ("n", "edges", "adj", "indptr", "indices", "row_ids", "degrees")
+    __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        canon: set[tuple[int, int]] = set()
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"vertex id out of range for n={n}: ({i}, {j})")
-            canon.add((i, j) if i < j else (j, i))
+        edges = list(edges)
+        try:
+            pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            # an id beyond int64 is out of range; locate the first bad pair
+            _check_pairs(np.array(edges, dtype=object).reshape(-1, 2), n)
+            raise
+        _check_pairs(pairs, n)
+        # both directions of every pair, sorted by (row, column); repeated
+        # and reversed input pairs become adjacent duplicates and are dropped
+        rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
+        cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        fresh = np.ones(rows.size, dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         self.n = int(n)
-        self.edges = tuple(sorted(canon))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
-        self.degrees = np.array([len(a) for a in self.adj], dtype=np.int64)
+        self.indices = cols[fresh]
+        self.degrees = np.bincount(rows[fresh], minlength=self.n).astype(np.int64, copy=False)
         self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
-        self.indices = np.fromiter(
-            (j for a in self.adj for j in a), dtype=np.int64, count=int(self.indptr[-1])
-        )
-        self.row_ids = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        for arr in (self.indptr, self.indices, self.degrees):
+            arr.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return (
+            self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={len(self.edges)})"
+        return f"Graph(n={self.n}, edges={self.num_edges})"
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges as ``(i, j)`` with ``i < j``, sorted lexicographically."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        upper = rows < self.indices
+        return tuple(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.n:
             raise ValueError(f"vertex id out of range: {i}")
-        return self.adj[i]
+        return tuple(self.indices[self.indptr[i] : self.indptr[i + 1]].tolist())
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        if not 0 <= i < self.n:
+            raise ValueError(f"vertex id out of range: {i}")
+        return int(self.degrees[i])
 
     def degree_sequence(self) -> DegreeSequence:
-        return tuple(int(d) for d in self.degrees)
+        return tuple(self.degrees.tolist())
 
     def is_regular(self) -> Optional[int]:
         """Common degree if every vertex has the same degree, else None."""
         if self.n == 0:
             return None
-        d0 = len(self.adj[0])
-        return d0 if all(len(a) == d0 for a in self.adj) else None
+        d0 = int(self.degrees[0])
+        return d0 if bool(np.all(self.degrees == d0)) else None
+
+
+def _check_pairs(pairs: np.ndarray, n: int) -> None:
+    """Raise ValueError for the first pair (in input order) that is a
+    self-loop or names a vertex outside ``0..n-1``."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    bad = (i == j) | (i < 0) | (i >= n) | (j < 0) | (j >= n)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    i, j = int(i[k]), int(j[k])
+    if i == j:
+        raise ValueError(f"self-loop at vertex {i}")
+    raise ValueError(f"vertex id out of range for n={n}: ({i}, {j})")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -259,6 +287,7 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 def connected_component_count(g: Graph) -> int:
     """Number of maximal connected subgraphs, by breadth-first traversal."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     seen = [False] * g.n
     count = 0
     for start in range(g.n):
@@ -269,7 +298,7 @@ def connected_component_count(g: Graph) -> int:
         seen[start] = True
         while queue:
             v = queue.pop()
-            for w in g.adj[v]:
+            for w in indices[indptr[v] : indptr[v + 1]]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)

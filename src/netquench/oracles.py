@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
+from .dynamics import NodeParams, as_state
 from .enumeration import BigCount
 from .graphs import Graph
 
@@ -193,6 +195,20 @@ def dense_spectral_radius(h: np.ndarray, expensive: bool = False) -> float:
         vals = np.linalg.eigvalsh(sym)
         return float(np.max(np.abs(vals)))
     return float(np.max(np.abs(np.linalg.eigvals(h))))
+
+
+def non_infection_probability(
+    g: Graph, params: NodeParams, p: Sequence[float], i: int
+) -> float:
+    """zeta_i for a single node, as the plain product over its neighbors j
+    of (1 - beta_i r_i p_j); the reference for dynamics.zeta_vector."""
+    state = as_state(p, g.n)
+    neighbors = g.neighbors(i)
+    w = float(params.beta[i] * params.r[i])
+    out = 1.0
+    for j in neighbors:
+        out *= 1.0 - w * state[j]
+    return out
 
 
 def brute_catalan(n: int, expensive: bool = False) -> BigCount:

@@ -305,16 +305,3 @@ class TestVerify:
         monkeypatch.setattr(cli, "_KNOWN_CONNECTED_PREFIX", tuple(broken))
         assert cli.main(["verify"]) == 1
         assert "FAIL" in capsys.readouterr().out
-
-
-class TestEnvGuard:
-    def test_thread_cap_validated(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setenv("NETQUENCH_THREADS", "0")
-        assert cli.main(["enum", "all", "--pmax", "2",
-                         "--out", str(tmp_path / "x.csv")]) == 1
-        assert "NETQUENCH_THREADS" in capsys.readouterr().err
-
-    def test_thread_cap_accepted(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("NETQUENCH_THREADS", "4")
-        assert cli.main(["enum", "all", "--pmax", "2",
-                         "--out", str(tmp_path / "x.csv")]) == 0

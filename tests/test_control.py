@@ -5,7 +5,6 @@ import pytest
 
 from netquench.control import (
     SelectionReport,
-    compute_discs,
     select_nodes,
     tune_betas,
     verify_stabilization,
@@ -27,22 +26,43 @@ class TestDiscs:
     def test_isolated_node(self):
         g = Graph(1)
         params = NodeParams.homogeneous(1, 0.4, 0.8, 0.9)
-        (d,) = compute_discs(g, params)
-        assert (d.center, d.radius) == (0.6, 0.0)
+        rep = select_nodes(g, params)
+        assert (rep.centers.tolist(), rep.radii.tolist()) == ([0.6], [0.0])
 
     def test_star_hub(self):
         g = star(4)
         params = NodeParams.homogeneous(5, 0.5, 0.25, 1.0)
-        d = compute_discs(g, params)[0]
-        assert d.center == pytest.approx(0.5)
-        assert d.radius == pytest.approx(1.0)
+        rep = select_nodes(g, params)
+        assert rep.centers[0] == pytest.approx(0.5)
+        assert rep.radii[0] == pytest.approx(1.0)
 
     def test_ring_node(self):
         g = generate_ring(6)
         params = NodeParams.homogeneous(6, 0.2, 0.3, 0.9)
-        d = compute_discs(g, params)[3]
-        assert d.center == pytest.approx(0.8)
-        assert d.radius == pytest.approx(0.54)
+        rep = select_nodes(g, params)
+        assert rep.centers[3] == pytest.approx(0.8)
+        assert rep.radii[3] == pytest.approx(0.54)
+
+    def test_arrays_are_center_and_radius_formulas(self):
+        rng = random.Random(53)
+        for _ in range(10):
+            n = rng.randint(2, 30)
+            g = generate_erdos_renyi(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
+            params = NodeParams(
+                np.array([rng.uniform(0.05, 1.0) for _ in range(n)]),
+                np.array([rng.uniform(0.0, 1.0) for _ in range(n)]),
+                np.array([rng.uniform(0.05, 1.0) for _ in range(n)]),
+            )
+            rep = select_nodes(g, params)
+            assert np.array_equal(rep.centers, 1.0 - params.mu)
+            assert np.array_equal(rep.radii, params.beta * params.r * g.degrees)
+            assert np.array_equal(rep.margins, params.mu - rep.radii)
+            for arr in (rep.centers, rep.radii, rep.margins):
+                assert not arr.flags.writeable
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match graph order"):
+            select_nodes(generate_ring(5), NodeParams.homogeneous(4, 0.5, 0.1, 1.0))
 
 
 class TestSelect:
@@ -117,9 +137,8 @@ class TestTune:
     def test_inconsistent_report_rejected(self):
         g = Graph(2)  # no edges: degree 0 everywhere
         params = NodeParams.homogeneous(2, 0.5, 0.5, 0.5)
-        fake = SelectionReport(
-            tuple(compute_discs(g, params)), frozenset({0}), np.array([0.5, 0.5])
-        )
+        real = select_nodes(g, params)
+        fake = SelectionReport(real.centers, real.radii, frozenset({0}), real.margins)
         with pytest.raises(RuntimeError, match="consistency"):
             tune_betas(g, params, fake)
 
@@ -233,3 +252,14 @@ class TestCsvOutputs:
         write_control_plan(plan, params, out)
         lines = out.read_text().splitlines()
         assert lines == ["node,beta_old,beta_new", "0,0.2,0.05"]
+
+    def test_files_use_lf_line_endings(self, tmp_path):
+        params = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
+        rep = select_nodes(STAR9, params)
+        _, plan = tune_betas(STAR9, params, rep)
+        write_selection_report(rep, STAR9, params, tmp_path / "r.csv", header_comment="c")
+        write_control_plan(plan, params, tmp_path / "p.csv", header_comment="c")
+        for name, rows in (("r.csv", 12), ("p.csv", 3)):
+            data = (tmp_path / name).read_bytes()
+            assert b"\r" not in data
+            assert data.count(b"\n") == rows and data.endswith(b"\n")

@@ -7,9 +7,9 @@ from netquench.dynamics import (
     ConvergenceError,
     LinearBoundSystem,
     NodeParams,
+    classify_sigma,
     linear_bound_step,
     load_params,
-    non_infection_probability,
     save_params,
     simulate,
     sis_step,
@@ -20,7 +20,7 @@ from netquench.dynamics import (
     zeta_vector,
 )
 from netquench.graphs import Graph, generate_complete, generate_erdos_renyi, generate_ring
-from netquench.oracles import dense_spectral_radius
+from netquench.oracles import dense_spectral_radius, non_infection_probability
 
 
 def random_instance(rng, n_lo=2, n_hi=12, mu_lo=0.05):
@@ -66,6 +66,13 @@ class TestNodeParams:
         path.write_text("node,mu,beta,r\n0,0.5,0.5,0.5\n2,0.5,0.5,0.5\n")
         with pytest.raises(ValueError, match="0..n-1"):
             load_params(path)
+
+    def test_csv_rejects_wrong_field_count(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for row in ("0,0.5,0.5", "0,0.5,0.5,0.5,0.5"):
+            path.write_text(f"node,mu,beta,r\n{row}\n")
+            with pytest.raises(ValueError, match="4 fields"):
+                load_params(path)
 
 
 class TestZeta:
@@ -300,6 +307,14 @@ class TestThresholdCheck:
         )
         with pytest.raises(ConvergenceError):
             threshold_check(g, params, power_tol=1e-15, max_iter=5)
+
+    def test_classify_sigma_band(self):
+        assert classify_sigma(1.0 - 2e-6) == "stable"
+        assert classify_sigma(1.0 - 1e-6) == "marginal"
+        assert classify_sigma(1.0) == "marginal"
+        assert classify_sigma(1.0 + 1e-6) == "marginal"
+        assert classify_sigma(1.0 + 2e-6) == "unstable"
+        assert classify_sigma(0.99, tol=0.02) == "marginal"
 
 
 class TestDominationAndStability:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from netquench.graphs import (
@@ -74,10 +75,26 @@ class TestGraphType:
 
     def test_adjacency_symmetric_and_sorted(self):
         g = Graph(4, [(2, 0), (0, 1), (3, 0)])
-        assert g.adj[0] == (1, 2, 3)
+        assert g.neighbors(0) == (1, 2, 3)
         for i in range(4):
-            for j in g.adj[i]:
-                assert i in g.adj[j]
+            for j in g.neighbors(i):
+                assert i in g.neighbors(j)
+
+    def test_first_bad_pair_decides(self):
+        cases = [
+            ([(0, 1), (2, 2), (0, 9)], "self-loop at vertex 2"),
+            ([(0, 1), (0, 9), (2, 2)], r"out of range for n=3: \(0, 9\)"),
+            ([(5, 5)], "self-loop at vertex 5"),  # self-loop before range
+            ([(1, 0), (-1, 2)], r"out of range for n=3: \(-1, 2\)"),
+            ([(0, 1), (1, 2**70)], rf"out of range for n=3: \(1, {2**70}\)"),
+            ([(-(2**70), 0)], rf"out of range for n=3: \({-(2**70)}, 0\)"),
+            ([(2**70, 2**70)], f"self-loop at vertex {2**70}"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(ValueError, match=message):
+                Graph(3, edges)
+            with pytest.raises(ValueError, match=message):
+                Graph(3, iter(edges))
 
     def test_degree_queries(self):
         k4 = generate_complete(4)
@@ -93,6 +110,64 @@ class TestGraphType:
         for _ in range(20):
             g = generate_erdos_renyi(rng.randint(1, 25), rng.random(), rng.randrange(10**6))
             assert sum(g.degree_sequence()) == 2 * g.num_edges
+
+
+def _reference_csr(n, edges):
+    """The former loop construction: sorted canonical edge set, then sorted
+    per-vertex adjacency lists flattened into CSR."""
+    canon = sorted({(i, j) if i < j else (j, i) for i, j in edges})
+    adj = [[] for _ in range(n)]
+    for i, j in canon:
+        adj[i].append(j)
+        adj[j].append(i)
+    degrees = [len(a) for a in adj]
+    indptr = [0]
+    for d in degrees:
+        indptr.append(indptr[-1] + d)
+    indices = [j for a in adj for j in sorted(a)]
+    return tuple(canon), indptr, indices, degrees
+
+
+class TestCsrConstruction:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate_barabasi_albert(400, 3, 2, seed=7),
+            generate_random_regular(60, 3, seed=1),
+            generate_erdos_renyi(80, 0.1, seed=2),
+            generate_ring(9),
+            Graph(5),
+            Graph(0),
+        ],
+        ids=["ba", "regular", "er", "ring", "empty", "order0"],
+    )
+    def test_matches_reference_with_duplicates_and_reversals(self, g):
+        rng = random.Random(g.n)
+        edges = list(g.edges)
+        noisy = edges + [(j, i) for i, j in edges[::3]] + edges[::5]
+        noisy = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in noisy]
+        rng.shuffle(noisy)
+        built = Graph(g.n, noisy)
+        canon, indptr, indices, degrees = _reference_csr(g.n, noisy)
+        assert built.edges == canon
+        assert built.indptr.tolist() == indptr
+        assert built.indices.tolist() == indices
+        assert built.degrees.tolist() == degrees
+        for arr in (built.indptr, built.indices, built.degrees):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert built == g and hash(built) == hash(g)
+        assert built.num_edges == len(canon)
+
+    def test_accepts_sets_generators_and_arrays(self):
+        pairs = [(0, 1), (2, 1), (3, 0)]
+        ref = Graph(4, pairs)
+        assert Graph(4, set(pairs)) == ref
+        assert Graph(4, (p for p in pairs)) == ref
+        assert Graph(4, np.array(pairs)) == ref
+
+    def test_equality_sees_order_and_edges(self):
+        assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+        assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
 
 
 class TestRing:
