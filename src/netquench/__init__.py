@@ -4,14 +4,12 @@ control-node selection, and exact/asymptotic labeled-graph enumeration."""
 from .control import (
     ControlPlan,
     SelectionReport,
-    StabilizationCheck,
     select_nodes,
     tune_betas,
     verify_stabilization,
 )
 from .dynamics import (
     ConvergenceError,
-    LinearBoundSystem,
     NodeParams,
     SpectralEstimate,
     Trajectory,
@@ -20,13 +18,11 @@ from .dynamics import (
     simulate,
     sis_step,
     spectral_radius,
-    threshold_check,
     verify_bound_inequality,
     zeta_vector,
 )
 from .enumeration import (
     BigCount,
-    EgfSeries,
     LogValue,
     bollobas_degree_sequence_count_log,
     bollobas_regular_count_log,
@@ -65,6 +61,7 @@ from .oracles import (
     brute_catalan,
     brute_count_connected,
     brute_count_regular,
+    dense_bound_matrix,
     dense_spectral_radius,
     iter_graph_masks,
     non_infection_probability,

@@ -110,7 +110,7 @@ def _analysis_payload(
         "num_edges": g.num_edges,
         "sigma": est.sigma,
         "sigma_converged": est.converged,
-        "verdict": dynamics.classify_sigma(est.sigma) if est.converged else "unconverged",
+        "verdict": est.verdict,
         "margins": report.margins.tolist(),
         "flagged": sorted(report.flagged),
         "discs": [
@@ -118,9 +118,8 @@ def _analysis_payload(
             for i, (c, r) in enumerate(zip(report.centers.tolist(), report.radii.tolist()))
         ],
     }
-    stamp = _timestamp_comment(reproducible)
-    if stamp is not None:
-        payload["generated_at"] = stamp
+    if not reproducible:
+        payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     return payload
 
 
@@ -148,9 +147,10 @@ def cmd_control(args) -> int:
     stamp = _timestamp_comment(args.reproducible)
     dynamics.save_params(tuned, args.params_out, header_comment=stamp)
     control.write_control_plan(plan, params, args.plan_out, header_comment=stamp)
-    check = control.verify_stabilization(g, tuned)
-    print(f"tuned={len(plan.new_beta)} sigma={check.sigma!r} stable={str(check.stable).lower()}")
-    return 0 if check.stable else 1
+    est = control.verify_stabilization(g, tuned)
+    stable = est.verdict == "stable"
+    print(f"tuned={len(plan.new_beta)} sigma={est.sigma!r} stable={str(stable).lower()}")
+    return 0 if stable else 1
 
 
 def cmd_simulate(args) -> int:
@@ -281,9 +281,7 @@ def _verify_checks(expensive: bool):
                 np.array([rng.uniform(0.1, 1.0) for _ in range(n)]),
             )
             est = dynamics.spectral_radius(g, params, tol=1e-13, max_iter=200_000)
-            ref = oracles.dense_spectral_radius(
-                dynamics.LinearBoundSystem(g, params).dense()
-            )
+            ref = oracles.dense_spectral_radius(oracles.dense_bound_matrix(g, params))
             if not est.converged or abs(est.sigma - ref) >= 1e-8:
                 return False
         return True

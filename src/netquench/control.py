@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConvergenceError, NodeParams, spectral_radius
+from .dynamics import ConvergenceError, NodeParams, SpectralEstimate, spectral_radius
 from .graphs import Graph
 from .output import write_csv
 
@@ -40,12 +40,6 @@ class ControlPlan:
 
     new_beta: dict[int, float]
     safety: float
-
-
-@dataclass(frozen=True)
-class StabilizationCheck:
-    sigma: float
-    stable: bool
 
 
 def select_nodes(g: Graph, params: NodeParams) -> SelectionReport:
@@ -88,17 +82,16 @@ def tune_betas(
     return params.with_beta(new_beta), ControlPlan(plan, kappa)
 
 
-def verify_stabilization(
-    g: Graph, params: NodeParams, tol: float = 1e-12, max_iter: int = 100_000
-) -> StabilizationCheck:
-    """Recompute sigma(H) for (possibly tuned) params; stable iff sigma < 1.
-    Raises ConvergenceError rather than report an untrusted estimate."""
-    est = spectral_radius(g, params, tol=tol, max_iter=max_iter)
+def verify_stabilization(g: Graph, params: NodeParams) -> SpectralEstimate:
+    """Recompute sigma(H) for (possibly tuned) params; the estimate's
+    ``verdict`` is "stable" iff sigma < 1 - MARGINAL_TOL.  Raises
+    ConvergenceError rather than report an untrusted estimate."""
+    est = spectral_radius(g, params)
     if not est.converged:
         raise ConvergenceError(
             f"spectral radius did not converge within {est.iterations} iterations"
         )
-    return StabilizationCheck(est.sigma, est.sigma < 1.0)
+    return est
 
 
 def write_selection_report(

@@ -33,10 +33,6 @@ PLATEAU_RTOL = 1e-9
 # Half-width of the "marginal" band around the threshold sigma = 1.
 MARGINAL_TOL = 1e-6
 
-# H is only materialized densely up to this order unless the caller
-# explicitly raises the limit.
-DENSE_LIMIT = 512
-
 VERDICT_EXTINCT = "extinct"
 VERDICT_ENDEMIC = "endemic"
 VERDICT_UNDECIDED = "undecided"
@@ -92,6 +88,11 @@ class SpectralEstimate:
     converged: bool
     iterations: int
 
+    @property
+    def verdict(self) -> str:
+        """classify_sigma(sigma) when converged, "unconverged" otherwise."""
+        return classify_sigma(self.sigma) if self.converged else "unconverged"
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -100,35 +101,6 @@ class Trajectory:
     states: np.ndarray  # shape (T+1, n)
     verdict: str
     steps_to_verdict: int
-
-
-@dataclass(frozen=True, eq=False)
-class LinearBoundSystem:
-    """The matrix H = I - diag(mu) + diag(beta*r) A, kept implicit: products
-    use the graph's adjacency arrays, and a dense H is only built on demand
-    for small systems."""
-
-    graph: Graph
-    params: NodeParams
-
-    def __post_init__(self) -> None:
-        _check_sizes(self.graph, self.params)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return linear_bound_step(self.graph, self.params, x)
-
-    def dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        n = self.graph.n
-        if n > limit:
-            raise ValueError(
-                f"refusing to materialize dense {n}x{n} H (limit {limit}); "
-                "raise `limit` explicitly if this is intentional"
-            )
-        g = self.graph
-        w = self.params.beta * self.params.r
-        h = np.diag(1.0 - self.params.mu)
-        h[np.repeat(np.arange(n), g.degrees), g.indices] = np.repeat(w, g.degrees)
-        return h
 
 
 def _check_sizes(g: Graph, params: NodeParams) -> None:
@@ -264,32 +236,12 @@ def spectral_radius(
     return SpectralEstimate(est - 1.0, False, max_iter)
 
 
-def threshold_check(
-    g: Graph,
-    params: NodeParams,
-    tol: float = MARGINAL_TOL,
-    power_tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> str:
-    """Classify sigma(H) against the extinction threshold 1.
-
-    Returns "stable" (sigma < 1 - tol), "unstable" (sigma > 1 + tol), or
-    "marginal".  Raises ConvergenceError when the spectral estimate did not
-    converge: an unconverged estimate is never classified.
-    """
-    est = spectral_radius(g, params, tol=power_tol, max_iter=max_iter)
-    if not est.converged:
-        raise ConvergenceError(
-            f"spectral radius did not converge within {est.iterations} iterations"
-        )
-    return classify_sigma(est.sigma, tol)
-
-
-def classify_sigma(sigma: float, tol: float = MARGINAL_TOL) -> str:
-    """"stable" (sigma < 1 - tol), "unstable" (sigma > 1 + tol), else "marginal"."""
-    if sigma < 1.0 - tol:
+def classify_sigma(sigma: float) -> str:
+    """"stable" (sigma < 1 - MARGINAL_TOL), "unstable" (sigma > 1 + MARGINAL_TOL),
+    else "marginal"."""
+    if sigma < 1.0 - MARGINAL_TOL:
         return "stable"
-    if sigma > 1.0 + tol:
+    if sigma > 1.0 + MARGINAL_TOL:
         return "unstable"
     return "marginal"
 

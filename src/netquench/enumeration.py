@@ -25,9 +25,6 @@ from typing import Sequence
 # Exact big-integer count; Python ints are arbitrary precision.
 BigCount = int
 
-# ln(m!) is taken off the exact factorial up to here, Stirling beyond.
-EXACT_LOG_FACTORIAL_LIMIT = 50_000
-
 
 @dataclass(frozen=True)
 class LogValue:
@@ -42,37 +39,24 @@ class LogValue:
         return math.exp(self.ln)
 
 
-class EgfSeries:
-    """Truncated exponential generating function with exact coefficients.
+def _egf_log(f: Sequence[Fraction | int]) -> list[Fraction]:
+    """log of a truncated exponential generating function, to the same order.
 
-    ``coeffs[k]`` is the coefficient of x^k/k! (a Fraction).  log is exact
-    over the rationals up to the truncation order; in this representation it
+    ``f[k]`` is the coefficient of x^k/k!; the constant term must be 1.  The
+    result is exact over the rationals: in this representation the log
     reduces to binomial convolutions with no divisions.
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction | int]) -> None:
-        if len(coeffs) == 0:
-            raise ValueError("series needs at least the constant coefficient")
-        self.coeffs: tuple[Fraction, ...] = tuple(Fraction(c) for c in coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def log(self) -> "EgfSeries":
-        """log of a series with unit constant term, to the same order."""
-        f = self.coeffs
-        if f[0] != 1:
-            raise ValueError("log needs a unit constant term")
-        g = [Fraction(0)]
-        for n in range(self.order):
-            g.append(
-                f[n + 1]
-                - sum(comb(n, j) * f[j] * g[n + 1 - j] for j in range(1, n + 1))
-            )
-        return EgfSeries(g)
+    if len(f) == 0:
+        raise ValueError("series needs at least the constant coefficient")
+    if f[0] != 1:
+        raise ValueError("log needs a unit constant term")
+    g = [Fraction(0)]
+    for n in range(len(f) - 1):
+        g.append(
+            Fraction(f[n + 1])
+            - sum(comb(n, j) * f[j] * g[n + 1 - j] for j in range(1, n + 1))
+        )
+    return g
 
 
 def count_all_labeled_graphs(p: int) -> BigCount:
@@ -155,11 +139,10 @@ def connected_labeled_egf_log(p_max: int) -> list[BigCount]:
     rational arithmetic must land on integers; anything else aborts."""
     if p_max < 1:
         raise ValueError(f"order must be >= 1, got {p_max}")
-    all_graphs = EgfSeries([1] + [1 << comb(k, 2) for k in range(1, p_max + 1)])
-    logged = all_graphs.log()
+    logged = _egf_log([1] + [1 << comb(k, 2) for k in range(1, p_max + 1)])
     out: list[BigCount] = []
     for k in range(1, p_max + 1):
-        c = logged.coeffs[k]
+        c = logged[k]
         if c.denominator != 1:
             raise ArithmeticError(f"series log produced non-integer coefficient at {k}: {c}")
         out.append(int(c))
@@ -167,14 +150,10 @@ def connected_labeled_egf_log(p_max: int) -> list[BigCount]:
 
 
 def _ln_factorial(n: int) -> float:
-    """ln(n!): exact big-integer factorial for moderate n, Stirling beyond."""
+    """ln(n!) as lgamma(n + 1)."""
     if n < 0:
         raise ValueError(f"factorial argument must be nonnegative, got {n}")
-    if n <= 1:
-        return 0.0
-    if n <= EXACT_LOG_FACTORIAL_LIMIT:
-        return math.log(factorial(n))
-    return stirling_log_factorial(n).ln
+    return math.lgamma(n + 1)
 
 
 def stirling_log_factorial(n: int) -> LogValue:

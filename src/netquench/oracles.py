@@ -1,9 +1,9 @@
 """Slow, obviously-correct reference implementations for small instances.
 
 Exhaustive enumerations over all 2^C(p,2) labeled graphs validate the
-counting recurrences and asymptotics; a dense eigensolver validates the
-sparse power iteration.  Hard caps keep the whole oracle suite cheap; each
-can be lifted with an explicit ``expensive=True``.
+counting recurrences and asymptotics; a dense H and a dense eigensolver
+validate the sparse power iteration.  Hard caps keep the whole oracle suite
+cheap; all but the dense-H cap can be lifted with ``expensive=True``.
 """
 
 from __future__ import annotations
@@ -166,6 +166,18 @@ def _try_symmetrize(h: np.ndarray) -> np.ndarray | None:
     if not np.allclose(sym, sym.T, rtol=1e-10, atol=1e-12):
         return None
     return 0.5 * (sym + sym.T)
+
+
+def dense_bound_matrix(g: Graph, params: NodeParams) -> np.ndarray:
+    """H = I - diag(mu) + diag(beta*r) A as a dense array, for n <= CAP_DENSE."""
+    if params.n != g.n:
+        raise ValueError(f"parameter length {params.n} does not match graph order {g.n}")
+    if g.n > CAP_DENSE:
+        raise ValueError(f"dense H capped at n <= {CAP_DENSE}, got {g.n}")
+    w = params.beta * params.r
+    h = np.diag(1.0 - params.mu)
+    h[np.repeat(np.arange(g.n), g.degrees), g.indices] = np.repeat(w, g.degrees)
+    return h
 
 
 def dense_spectral_radius(h: np.ndarray, expensive: bool = False) -> float:

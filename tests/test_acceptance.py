@@ -14,7 +14,6 @@ import numpy as np
 from netquench import cli
 from netquench.control import select_nodes, tune_betas
 from netquench.dynamics import (
-    LinearBoundSystem,
     NodeParams,
     linear_bound_step,
     load_params,
@@ -40,7 +39,12 @@ from netquench.graphs import (
     generate_ring,
     write_graph,
 )
-from netquench.oracles import brute_count_connected, brute_count_regular, dense_spectral_radius
+from netquench.oracles import (
+    brute_count_connected,
+    brute_count_regular,
+    dense_bound_matrix,
+    dense_spectral_radius,
+)
 
 # Connected-count reference values.  Orders 1..11 are exact; orders 12..20
 # are pinned at 6 significant figures (compared as relative error <= 5e-6).
@@ -177,7 +181,7 @@ def test_criterion_5_gerschgorin_sufficiency(tmp_path):
                 unflagged_seen += 1
                 assert est.sigma < 1.0
             if g.n <= 10:
-                ref = dense_spectral_radius(LinearBoundSystem(g, params).dense())
+                ref = dense_spectral_radius(dense_bound_matrix(g, params))
                 assert abs(est.sigma - ref) < 1e-8
             tuned, _ = tune_betas(g, params, report, kappa=0.9)
             assert not select_nodes(g, tuned).flagged

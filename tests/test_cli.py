@@ -1,5 +1,6 @@
 import json
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -79,6 +80,14 @@ class TestAnalyze:
         }
         assert "generated_at" not in report
 
+    def test_generated_at_is_iso_timestamp(self, star9_files, tmp_path):
+        graph_path, params_path = star9_files
+        out = tmp_path / "report.json"
+        cli.main(["analyze", "--graph", str(graph_path), "--params",
+                  str(params_path), "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert datetime.fromisoformat(report["generated_at"]).tzinfo is not None
+
     def test_regular_homogeneous_all_or_nothing(self, tmp_path):
         g = generate_ring(8)
         write_graph(g, tmp_path / "ring.edges")
@@ -148,6 +157,19 @@ class TestControl:
         assert "tuned=0" in capsys.readouterr().out
         _, rows = read_csv_rows(tmp_path / "plan.csv")
         assert rows == []
+
+    def test_marginal_sigma_is_not_stable(self, tmp_path, capsys):
+        # sigma = 1 - 5e-7: below 1, but inside the band analyze calls marginal
+        write_graph(Graph(3), tmp_path / "g.edges")
+        save_params(NodeParams.homogeneous(3, 5e-7, 0.5, 0.5), tmp_path / "p.csv")
+        code = cli.main(["control", "--graph", str(tmp_path / "g.edges"),
+                         "--params", str(tmp_path / "p.csv"),
+                         "--params-out", str(tmp_path / "t.csv"),
+                         "--plan-out", str(tmp_path / "plan.csv")])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "stable=false" in out
+        assert float(out.split("sigma=")[1].split()[0]) < 1.0
 
 
 class TestSimulate:

@@ -11,9 +11,9 @@ from netquench.control import (
     write_control_plan,
     write_selection_report,
 )
-from netquench.dynamics import LinearBoundSystem, NodeParams, spectral_radius
+from netquench.dynamics import NodeParams, spectral_radius
 from netquench.graphs import Graph, generate_complete, generate_erdos_renyi, generate_ring
-from netquench.oracles import dense_spectral_radius
+from netquench.oracles import dense_bound_matrix, dense_spectral_radius
 
 STAR9 = Graph(10, [(0, i) for i in range(1, 10)])
 
@@ -147,23 +147,23 @@ class TestVerifyStabilization:
     def test_post_tune_star(self):
         params = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
         tuned, _ = tune_betas(STAR9, params, select_nodes(STAR9, params))
-        check = verify_stabilization(STAR9, tuned)
-        assert check.stable and check.sigma < 1.0
+        est = verify_stabilization(STAR9, tuned)
+        assert est.verdict == "stable" and est.sigma < 1.0
 
     def test_no_infection_network(self):
         g = generate_ring(5)
         params = NodeParams(
             np.array([0.2, 0.4, 0.6, 0.8, 1.0]), np.zeros(5), np.ones(5)
         )
-        check = verify_stabilization(g, params)
-        assert check.sigma == pytest.approx(0.8, abs=1e-10)
-        assert check.stable
+        est = verify_stabilization(g, params)
+        assert est.sigma == pytest.approx(0.8, abs=1e-10)
+        assert est.verdict == "stable"
 
     def test_untuned_endemic_ring(self):
         g = generate_ring(9)
-        check = verify_stabilization(g, NodeParams.homogeneous(9, 0.2, 0.3, 0.9))
-        assert not check.stable
-        assert check.sigma == pytest.approx(1.34, abs=1e-9)
+        est = verify_stabilization(g, NodeParams.homogeneous(9, 0.2, 0.3, 0.9))
+        assert est.verdict == "unstable"
+        assert est.sigma == pytest.approx(1.34, abs=1e-9)
 
 
 class TestProperties:
@@ -219,7 +219,7 @@ class TestProperties:
                     rep = select_nodes(g, params)
                     if not rep.flagged:
                         continue
-                    sigma = dense_spectral_radius(LinearBoundSystem(g, params).dense())
+                    sigma = dense_spectral_radius(dense_bound_matrix(g, params))
                     if sigma < 1.0:
                         witnesses.append((leaves, mu, beta, sigma))
         assert witnesses, "no flagged-yet-stable instance found"
@@ -227,7 +227,7 @@ class TestProperties:
         g = star(4)
         params = NodeParams.homogeneous(5, 0.8, 0.2, 1.0)
         rep = select_nodes(g, params)
-        sigma = dense_spectral_radius(LinearBoundSystem(g, params).dense())
+        sigma = dense_spectral_radius(dense_bound_matrix(g, params))
         assert rep.flagged == {0}
         assert sigma == pytest.approx(0.6, abs=1e-12)
         assert (4, 0.8, 0.2) in {(w[0], w[1], w[2]) for w in witnesses}

@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from netquench import control
+from netquench.control import verify_stabilization
 from netquench.dynamics import (
     ConvergenceError,
-    LinearBoundSystem,
     NodeParams,
     classify_sigma,
     linear_bound_step,
@@ -14,13 +15,12 @@ from netquench.dynamics import (
     simulate,
     sis_step,
     spectral_radius,
-    threshold_check,
     verify_bound_inequality,
     write_trajectory_csv,
     zeta_vector,
 )
 from netquench.graphs import Graph, generate_complete, generate_erdos_renyi, generate_ring
-from netquench.oracles import dense_spectral_radius, non_infection_probability
+from netquench.oracles import dense_bound_matrix, dense_spectral_radius, non_infection_probability
 
 
 def random_instance(rng, n_lo=2, n_hi=12, mu_lo=0.05):
@@ -202,17 +202,15 @@ class TestLinearBound:
         rng = random.Random(8)
         for _ in range(10):
             g, params = random_instance(rng)
-            sys = LinearBoundSystem(g, params)
             x = np.array([rng.random() for _ in range(g.n)])
-            assert np.allclose(sys.dense() @ x, sys.matvec(x), atol=1e-12)
+            h = dense_bound_matrix(g, params)
+            assert np.allclose(h @ x, linear_bound_step(g, params, x), atol=1e-12)
 
     def test_dense_limit_guard(self):
-        g = generate_ring(20)
-        params = NodeParams.homogeneous(20, 0.5, 0.5, 0.5)
-        sys = LinearBoundSystem(g, params)
         with pytest.raises(ValueError, match="dense"):
-            sys.dense(limit=10)
-        assert sys.dense(limit=20).shape == (20, 20)
+            dense_bound_matrix(generate_ring(13), NodeParams.homogeneous(13, 0.5, 0.5, 0.5))
+        h = dense_bound_matrix(generate_ring(12), NodeParams.homogeneous(12, 0.5, 0.5, 0.5))
+        assert h.shape == (12, 12)
 
 
 class TestBoundInequality:
@@ -261,7 +259,7 @@ class TestSpectralRadius:
         for _ in range(100):
             g, params = random_instance(rng, n_hi=10)
             est = spectral_radius(g, params, tol=1e-13, max_iter=200_000)
-            ref = dense_spectral_radius(LinearBoundSystem(g, params).dense())
+            ref = dense_spectral_radius(dense_bound_matrix(g, params))
             assert est.converged
             assert abs(est.sigma - ref) < 1e-8
 
@@ -282,31 +280,37 @@ class TestSpectralRadius:
         est = spectral_radius(g, params, tol=1e-15, max_iter=5)
         assert not est.converged
         assert est.iterations == 5
+        assert est.verdict == "unconverged"
 
 
 class TestThresholdCheck:
     def test_stable_without_infection(self):
         g = generate_ring(6)
         params = NodeParams.homogeneous(6, 0.5, 0.0, 1.0)
-        assert threshold_check(g, params) == "stable"
+        assert verify_stabilization(g, params).verdict == "stable"
 
     def test_marginal_star(self):
         g = Graph(5, [(0, i) for i in range(1, 5)])
         params = NodeParams.homogeneous(5, 0.5, 0.25, 1.0)
-        assert threshold_check(g, params, tol=1e-6) == "marginal"
+        assert verify_stabilization(g, params).verdict == "marginal"
 
     def test_unstable_ring(self):
         g = generate_ring(9)
         params = NodeParams.homogeneous(9, 0.2, 0.3, 0.9)
-        assert threshold_check(g, params) == "unstable"
+        assert verify_stabilization(g, params).verdict == "unstable"
 
-    def test_propagates_nonconvergence(self):
+    def test_propagates_nonconvergence(self, monkeypatch):
         g = Graph(2, [(0, 1)])
         params = NodeParams(
             np.array([0.5, 0.5]), np.array([0.3, 0.0]), np.array([1.0, 1.0])
         )
-        with pytest.raises(ConvergenceError):
-            threshold_check(g, params, power_tol=1e-15, max_iter=5)
+        monkeypatch.setattr(
+            control,
+            "spectral_radius",
+            lambda g, params: spectral_radius(g, params, tol=1e-15, max_iter=5),
+        )
+        with pytest.raises(ConvergenceError, match="5 iterations"):
+            verify_stabilization(g, params)
 
     def test_classify_sigma_band(self):
         assert classify_sigma(1.0 - 2e-6) == "stable"
@@ -314,7 +318,6 @@ class TestThresholdCheck:
         assert classify_sigma(1.0) == "marginal"
         assert classify_sigma(1.0 + 1e-6) == "marginal"
         assert classify_sigma(1.0 + 2e-6) == "unstable"
-        assert classify_sigma(0.99, tol=0.02) == "marginal"
 
 
 class TestDominationAndStability:
@@ -341,7 +344,7 @@ class TestDominationAndStability:
                     break
                 beta *= 0.7
             trial = params.with_beta(beta)
-            if threshold_check(g, trial) != "stable":
+            if verify_stabilization(g, trial).verdict != "stable":
                 continue
             traj = simulate(g, trial, np.ones(g.n), max_steps=10_000)
             assert traj.verdict == "extinct"

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from netquench.enumeration import (
-    EgfSeries,
+    _egf_log,
+    _ln_factorial,
     bollobas_degree_sequence_count_log,
     bollobas_regular_count_log,
     catalan_asymptotic_log,
@@ -101,15 +102,15 @@ class TestConnectedCounts:
 class TestEgfSeries:
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            EgfSeries([2, 1]).log()
+            _egf_log([2, 1])
         with pytest.raises(ValueError):
-            EgfSeries([])
+            _egf_log([])
 
     def test_exact_rationals(self):
-        s = EgfSeries([1, Fraction(1, 2), Fraction(1, 3)])
-        out = s.log()
-        assert out.coeffs[1] == Fraction(1, 2)
-        assert out.coeffs[2] == Fraction(1, 3) - Fraction(1, 4)
+        out = _egf_log([1, Fraction(1, 2), Fraction(1, 3)])
+        assert len(out) == 3
+        assert out[1] == Fraction(1, 2)
+        assert out[2] == Fraction(1, 3) - Fraction(1, 4)
 
 
 class TestStirling:
@@ -132,6 +133,20 @@ class TestStirling:
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1.0
         assert ratios[-1] > 0.9995
+
+
+class TestLnFactorial:
+    def test_matches_exact_factorial(self):
+        assert _ln_factorial(0) == _ln_factorial(1) == 0.0
+        for n in range(2, 400):
+            exact = math.log(math.factorial(n))
+            assert _ln_factorial(n) == pytest.approx(exact, rel=1e-15)
+        with pytest.raises(ValueError):
+            _ln_factorial(-1)
+
+    def test_no_jump_between_neighbors(self):
+        step = _ln_factorial(50_001) - _ln_factorial(50_000)
+        assert step == pytest.approx(math.log(50_001), abs=1e-9)
 
 
 class TestCatalan:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from netquench.dynamics import LinearBoundSystem, NodeParams, spectral_radius
+from netquench.dynamics import NodeParams, spectral_radius
 from netquench.enumeration import catalan_coefficient, connected_labeled_harary
 from netquench.graphs import generate_complete, generate_erdos_renyi
 from netquench.oracles import (
@@ -12,6 +12,7 @@ from netquench.oracles import (
     brute_catalan,
     brute_count_connected,
     brute_count_regular,
+    dense_bound_matrix,
     dense_spectral_radius,
     edge_order,
     iter_graph_masks,
@@ -83,16 +84,16 @@ class TestDenseSpectralRadius:
         assert dense_spectral_radius(np.eye(3)) == pytest.approx(1.0, abs=1e-14)
 
     def test_triangle_adjacency(self):
-        a = np.array(LinearBoundSystem(
+        a = dense_bound_matrix(
             generate_complete(3), NodeParams.homogeneous(3, 1.0, 1.0, 1.0)
-        ).dense())
+        )
         assert dense_spectral_radius(a) == pytest.approx(2.0, abs=1e-12)
 
     def test_star_threshold_case(self):
         from netquench.graphs import Graph
 
         g = Graph(5, [(0, i) for i in range(1, 5)])
-        h = LinearBoundSystem(g, NodeParams.homogeneous(5, 0.5, 0.25, 1.0)).dense()
+        h = dense_bound_matrix(g, NodeParams.homogeneous(5, 0.5, 0.25, 1.0))
         assert dense_spectral_radius(h) == pytest.approx(1.0, abs=1e-10)
 
     def test_asymmetric_similarity_path(self):
@@ -103,7 +104,7 @@ class TestDenseSpectralRadius:
             np.array([0.2, 0.4, 0.6, 0.8]),
             np.array([0.9, 0.8, 0.7, 0.6]),
         )
-        h = LinearBoundSystem(g, params).dense()
+        h = dense_bound_matrix(g, params)
         ref = float(np.max(np.abs(np.linalg.eigvals(h))))
         assert dense_spectral_radius(h) == pytest.approx(ref, abs=1e-10)
 
@@ -126,7 +127,7 @@ class TestDenseSpectralRadius:
                 np.array([rng.uniform(0.01, 1.0) for _ in range(n)]),
                 np.array([rng.uniform(0.05, 1.0) for _ in range(n)]),
             )
-            ref = dense_spectral_radius(LinearBoundSystem(g, params).dense())
+            ref = dense_spectral_radius(dense_bound_matrix(g, params))
             est = spectral_radius(g, params, tol=1e-13, max_iter=200_000)
             assert est.converged
             assert abs(est.sigma - ref) < 1e-8
