@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import control, dynamics, enumeration, graphs, oracles
-from .output import open_output, write_csv
+from .textio import open_output, read_node_table, write_csv
 
 # Connected-count prefix (orders 1..11) pinned for the self-check.
 _KNOWN_CONNECTED_PREFIX = (
@@ -50,7 +50,7 @@ def _write_csv(path, header: str, rows, reproducible: bool) -> None:
 
 def parse_p0_spec(spec: str, n: int) -> np.ndarray:
     """Initial condition: ``uniform:<v>``, ``single:<node>:<v>``, or a CSV
-    path with header ``node,p`` (unlisted nodes default to 0)."""
+    path with header ``node,p`` (each node at most once, unlisted ones 0)."""
     if spec.startswith("uniform:"):
         v = float(spec.split(":", 1)[1])
         return dynamics.as_state(np.full(n, v), n)
@@ -64,20 +64,7 @@ def parse_p0_spec(spec: str, n: int) -> np.ndarray:
         p0 = np.zeros(n)
         p0[node] = v
         return dynamics.as_state(p0, n)
-    p0 = np.zeros(n)
-    with open(spec, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip() and not line.startswith("#")]
-    if not lines or lines[0].replace(" ", "") != "node,p":
-        raise ValueError(f"p0 file {spec!r} must have header 'node,p'")
-    for line in lines[1:]:
-        tok = line.split(",")
-        if len(tok) != 2:
-            raise ValueError(f"bad p0 row {line!r}")
-        node = int(tok[0])
-        if not 0 <= node < n:
-            raise ValueError(f"p0 node {node} out of range for n={n}")
-        p0[node] = float(tok[1])
-    return dynamics.as_state(p0, n)
+    return dynamics.as_state(read_node_table(spec, ("p",), n)[:, 0], n)
 
 
 def cmd_generate(args) -> int:
@@ -91,9 +78,7 @@ def cmd_generate(args) -> int:
         g = graphs.generate_erdos_renyi(args.n, args.p, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown graph kind {args.kind!r}")
-    text = graphs.serialize_edge_list(g, comment=_timestamp_comment(args.reproducible))
-    with open_output(args.out) as fh:
-        fh.write(text)
+    graphs.write_graph(g, args.out, comment=_timestamp_comment(args.reproducible))
     print(f"wrote {args.kind} graph: n={g.n}, edges={g.num_edges}", file=sys.stderr)
     return 0
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConvergenceError, NodeParams, SpectralEstimate, spectral_radius
+from .dynamics import ConvergenceError, NodeParams, SpectralEstimate, _check_sizes, spectral_radius
 from .graphs import Graph
-from .output import write_csv
+from .textio import write_csv
 
 DEFAULT_SAFETY = 0.9
 
@@ -45,8 +45,7 @@ class ControlPlan:
 def select_nodes(g: Graph, params: NodeParams) -> SelectionReport:
     """Flag every node violating beta_i r_i deg(i) < mu_i (non-strictly, so
     the boundary case is controlled too)."""
-    if params.n != g.n:
-        raise ValueError(f"parameter length {params.n} does not match graph order {g.n}")
+    _check_sizes(g, params)
     centers = 1.0 - params.mu
     radii = params.beta * params.r * g.degrees
     margins = params.mu - radii

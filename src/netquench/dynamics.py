@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph
-from .output import write_csv
+from .textio import read_node_table, write_csv
 
 # A plateau of max_i p_i flatter than this (relative) counts toward the
 # endemic verdict.
@@ -247,31 +247,8 @@ def classify_sigma(sigma: float) -> str:
 
 
 def load_params(path) -> NodeParams:
-    """Read the params CSV ``node,mu,beta,r``; node ids 0..n-1, each exactly once.
-    Lines starting with ``#`` are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip() and not line.startswith("#")]
-    expected = ["node", "mu", "beta", "r"]
-    if not lines or [f.strip() for f in lines[0].split(",")] != expected:
-        raise ValueError(f"params file must have header {','.join(expected)!r}")
-    rows: dict[int, tuple[float, float, float]] = {}
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != len(expected):
-            raise ValueError(f"params row must have {len(expected)} fields: {line.strip()!r}")
-        node = int(fields[0])
-        if node in rows:
-            raise ValueError(f"duplicate node id {node} in params file")
-        rows[node] = (float(fields[1]), float(fields[2]), float(fields[3]))
-    n = len(rows)
-    if n == 0:
-        raise ValueError("params file has no rows")
-    if sorted(rows) != list(range(n)):
-        raise ValueError("params file must cover node ids 0..n-1 exactly once")
-    mu = np.array([rows[i][0] for i in range(n)])
-    beta = np.array([rows[i][1] for i in range(n)])
-    r = np.array([rows[i][2] for i in range(n)])
-    return NodeParams(mu, beta, r)
+    """Read the params CSV ``node,mu,beta,r``; node ids 0..n-1, each exactly once."""
+    return NodeParams(*read_node_table(path, ("mu", "beta", "r")).T)
 
 
 def save_params(params: NodeParams, path, header_comment: str | None = None) -> None:

@@ -14,6 +14,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .textio import data_lines, open_output
+
 # Full-restart budget for the pairing-model regular generator.
 DEFAULT_PAIRING_RESTARTS = 10_000
 
@@ -49,14 +51,17 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        edges = list(edges)
+        edges = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
             pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
         except OverflowError:
-            # an id beyond int64 is out of range; locate the first bad pair
-            _check_pairs(np.array(edges, dtype=object).reshape(-1, 2), n)
-            raise
-        _check_pairs(pairs, n)
+            # an id beyond int64 is out of range, so the check below raises
+            pairs = np.array(edges, dtype=object).reshape(-1, 2)
+        k = _check_pairs(pairs, n)
+        if k >= 0:
+            i, j = int(pairs[k, 0]), int(pairs[k, 1])
+            raise ValueError(f"self-loop at vertex {i}" if i == j
+                             else f"vertex id out of range for n={n}: ({i}, {j})")
         # both directions of every pair, sorted by (row, column); repeated
         # and reversed input pairs become adjacent duplicates and are dropped
         rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
@@ -119,61 +124,45 @@ class Graph:
         return d0 if bool(np.all(self.degrees == d0)) else None
 
 
-def _check_pairs(pairs: np.ndarray, n: int) -> None:
-    """Raise ValueError for the first pair (in input order) that is a
-    self-loop or names a vertex outside ``0..n-1``."""
+def _check_pairs(pairs: np.ndarray, n: int) -> int:
+    """Index of the first pair (in input order) that is a self-loop or names
+    a vertex outside ``0..n-1``; -1 when every pair is valid."""
     i, j = pairs[:, 0], pairs[:, 1]
     bad = (i == j) | (i < 0) | (i >= n) | (j < 0) | (j >= n)
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    i, j = int(i[k]), int(j[k])
-    if i == j:
-        raise ValueError(f"self-loop at vertex {i}")
-    raise ValueError(f"vertex id out of range for n={n}: ({i}, {j})")
+    return int(np.argmax(bad)) if bad.any() else -1
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: ``#`` comments, first data line is the
-    vertex count, every following data line is ``i j``.
-
-    Duplicate and reversed edges collapse to one.  Raises GraphParseError
-    with the offending line number for malformed input, self-loops, or
-    out-of-range vertex ids.
-    """
-    n: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 1:
-                raise GraphParseError(
-                    f"line {lineno}: expected a single vertex count, got {line!r}"
-                )
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: vertex count is not an integer") from None
-            if n < 0:
-                raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
-            continue
-        if len(tokens) != 2:
-            raise GraphParseError(f"line {lineno}: expected two integer tokens, got {line!r}")
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
+    """Parse the edge-list format from its text or its lines (an open file):
+    the first data line is the vertex count, each following one is ``i j``.
+    Duplicate and reversed edges collapse to one.  Malformed lines,
+    self-loops and out-of-range ids raise GraphParseError naming the line."""
+    rows = data_lines(text.splitlines() if isinstance(text, str) else text)
+    lineno, fields = next(rows, (1, []))
+    if len(fields) != 1:
+        raise GraphParseError(f"line {lineno}: expected 1 field (vertex count), got {len(fields)}")
+    try:
+        n = int(fields[0])
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: vertex count is not an integer") from None
+    if n < 0:
+        raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
+    linenos: list[int] = []
+    ids: list[int] = []
+    for lineno, fields in rows:
+        if len(fields) != 2:
+            raise GraphParseError(f"line {lineno}: expected 2 fields (i j), got {len(fields)}")
         try:
-            i, j = int(tokens[0]), int(tokens[1])
+            ids += (int(fields[0]), int(fields[1]))
         except ValueError:
             raise GraphParseError(f"line {lineno}: edge endpoints are not integers") from None
-        if i == j:
-            raise GraphParseError(f"line {lineno}: self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise GraphParseError(f"line {lineno}: vertex id out of range for n={n}")
-        edges.append((i, j))
-    if n is None:
-        raise GraphParseError("line 1: missing vertex count line")
-    return Graph(n, edges)
+        linenos.append(lineno)
+    # object dtype keeps ids beyond int64 for Graph to report as out of range
+    pairs = np.array(ids, dtype=object).reshape(-1, 2)
+    try:
+        return Graph(n, pairs)
+    except ValueError as exc:
+        raise GraphParseError(f"line {linenos[_check_pairs(pairs, n)]}: {exc}") from None
 
 
 def serialize_edge_list(g: Graph, comment: Optional[str] = None) -> str:
@@ -189,11 +178,11 @@ def serialize_edge_list(g: Graph, comment: Optional[str] = None) -> str:
 
 def read_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh)
 
 
 def write_graph(g: Graph, path, comment: Optional[str] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(serialize_edge_list(g, comment=comment))
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NodeParams, as_state
+from .dynamics import NodeParams, _check_sizes, as_state
 from .enumeration import BigCount
 from .graphs import Graph
 
@@ -170,8 +170,7 @@ def _try_symmetrize(h: np.ndarray) -> np.ndarray | None:
 
 def dense_bound_matrix(g: Graph, params: NodeParams) -> np.ndarray:
     """H = I - diag(mu) + diag(beta*r) A as a dense array, for n <= CAP_DENSE."""
-    if params.n != g.n:
-        raise ValueError(f"parameter length {params.n} does not match graph order {g.n}")
+    _check_sizes(g, params)
     if g.n > CAP_DENSE:
         raise ValueError(f"dense H capped at n <= {CAP_DENSE}, got {g.n}")
     w = params.beta * params.r

@@ -1,0 +1,79 @@
+"""Text I/O shared by every command: one line reader and one node-table
+reader for every input file, one stream opener and one CSV writer.  Every
+CSV written is UTF-8 with ``\\n`` line endings: an optional ``# comment``
+line, the header line, then the data rows.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+from typing import Iterable, Iterator, TextIO
+
+import numpy as np
+
+
+def data_lines(lines: Iterable[str], sep: str | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, fields)`` for each line of ``lines`` (an open file or
+    ``text.splitlines()``) that is neither blank nor a ``#`` comment once
+    stripped, split on ``sep`` (None: whitespace).  Lines count from 1."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            yield lineno, line.split(sep)
+
+
+def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.ndarray:
+    """Read the CSV ``node,<columns>`` at ``path`` into an ``(n, len(columns))``
+    float array whose row ``i`` is node ``i`` (0 if unlisted).  Node ids lie
+    in ``0..n-1``, each at most once; ``n`` defaults to the row count."""
+    header = ["node", *columns]
+    linenos: list[int] = []
+    ids: list[int] = []
+    values: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = data_lines(fh, ",")
+        lineno, fields = next(lines, (1, None))
+        if fields is None or [f.strip() for f in fields] != header:
+            raise ValueError(f"line {lineno}: expected header {','.join(header)!r}")
+        for lineno, fields in lines:
+            if len(fields) != len(header):
+                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+            try:
+                ids.append(int(fields[0]))
+                for x in fields[1:]:  # faster than map() for a few fields
+                    values.append(float(x))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            linenos.append(lineno)
+    n = len(ids) if n is None else n
+    seen = bytearray(n)
+    for lineno, i in zip(linenos, ids):
+        if not 0 <= i < n:
+            raise ValueError(f"line {lineno}: node id {i} is not in 0..n-1 for n={n}")
+        if seen[i]:
+            raise ValueError(f"line {lineno}: duplicate node id {i}")
+        seen[i] = 1
+    table = np.zeros((n, len(columns)))
+    table[ids] = np.reshape(values, (-1, len(columns)))
+    return table
+
+
+@contextlib.contextmanager
+def open_output(path) -> Iterator[TextIO]:
+    """A text stream writing to ``path``; ``"-"`` is stdout, which is left open."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
+def write_csv(path, header: str, rows: Iterable[str], comment: str | None = None) -> None:
+    """Write ``# comment`` (when given), the header line, then ``rows``:
+    chunks of already-formatted CSV text, each ending in a newline."""
+    with open_output(path) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        fh.writelines(rows)

@@ -244,6 +244,29 @@ class TestSimulate:
         assert first[("0", "1")] == "0.0"
 
 
+def test_reproducible_pipeline_is_byte_identical(star9_files, tmp_path, capsys):
+    graph_path, params_path = star9_files
+    runs = []
+    for k in range(2):
+        d = tmp_path / f"run{k}"
+        d.mkdir()
+        common = ["--graph", str(graph_path), "--reproducible"]
+        codes = [
+            cli.main(["analyze", *common, "--params", str(params_path),
+                      "--out", str(d / "report.json"), "--report-csv", str(d / "report.csv")]),
+            cli.main(["control", *common, "--params", str(params_path),
+                      "--params-out", str(d / "tuned.csv"), "--plan-out", str(d / "plan.csv")]),
+        ]
+        control_out = capsys.readouterr().out
+        codes.append(cli.main(["simulate", *common, "--params", str(d / "tuned.csv"),
+                               "--out", str(d / "traj.csv")]))
+        files = {p.name: p.read_bytes() for p in d.iterdir()}
+        assert sorted(files) == ["plan.csv", "report.csv", "report.json", "traj.csv", "tuned.csv"]
+        assert codes == [0, 0, 0]
+        runs.append((files, control_out, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+
+
 class TestEnum:
     def test_connected_table(self, tmp_path):
         out = tmp_path / "c.csv"
