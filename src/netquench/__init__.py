@@ -2,7 +2,6 @@
 control-node selection, and exact/asymptotic labeled-graph enumeration."""
 
 from .control import (
-    ControlPlan,
     SelectionReport,
     select_nodes,
     tune_betas,

@@ -48,17 +48,25 @@ def _write_csv(path, header: str, rows, reproducible: bool) -> None:
     write_csv(path, header, text, _timestamp_comment(reproducible))
 
 
+def _p0_field(spec: str, convert, text: str):
+    """``convert(text)``, failing with a message that names the p0 spec."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"bad p0 spec {spec!r}: {exc}") from None
+
+
 def parse_p0_spec(spec: str, n: int) -> np.ndarray:
     """Initial condition: ``uniform:<v>``, ``single:<node>:<v>``, or a CSV
     path with header ``node,p`` (each node at most once, unlisted ones 0)."""
     if spec.startswith("uniform:"):
-        v = float(spec.split(":", 1)[1])
+        v = _p0_field(spec, float, spec.split(":", 1)[1])
         return dynamics.as_state(np.full(n, v), n)
     if spec.startswith("single:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad p0 spec {spec!r}; expected single:<node>:<v>")
-        node, v = int(parts[1]), float(parts[2])
+        node, v = _p0_field(spec, int, parts[1]), _p0_field(spec, float, parts[2])
         if not 0 <= node < n:
             raise ValueError(f"p0 node {node} out of range for n={n}")
         p0 = np.zeros(n)
@@ -97,7 +105,7 @@ def _analysis_payload(
         "sigma_converged": est.converged,
         "verdict": est.verdict,
         "margins": report.margins.tolist(),
-        "flagged": sorted(report.flagged),
+        "flagged": report.flagged.tolist(),
         "discs": [
             {"node": i, "center": c, "radius": r}
             for i, (c, r) in enumerate(zip(report.centers.tolist(), report.radii.tolist()))
@@ -128,13 +136,13 @@ def cmd_control(args) -> int:
     g = graphs.read_graph(args.graph)
     params = dynamics.load_params(args.params)
     report = control.select_nodes(g, params)
-    tuned, plan = control.tune_betas(g, params, report, kappa=args.kappa)
+    tuned = control.tune_betas(g, params, report, kappa=args.kappa)
     stamp = _timestamp_comment(args.reproducible)
     dynamics.save_params(tuned, args.params_out, header_comment=stamp)
-    control.write_control_plan(plan, params, args.plan_out, header_comment=stamp)
+    control.write_control_plan(report, params, tuned, args.plan_out, header_comment=stamp)
     est = control.verify_stabilization(g, tuned)
     stable = est.verdict == "stable"
-    print(f"tuned={len(plan.new_beta)} sigma={est.sigma!r} stable={str(stable).lower()}")
+    print(f"tuned={report.flagged.size} sigma={est.sigma!r} stable={str(stable).lower()}")
     return 0 if stable else 1
 
 
@@ -173,28 +181,21 @@ def cmd_enum(args) -> int:
             for k in range(top + 1)
         ]
         _write_csv(args.out, "k,count", rows, args.reproducible)
-    elif args.table == "regular-asym":
+    elif args.table in ("regular-asym", "rarity"):
+        d = args.degree
         rows = []
-        for n in range(args.degree + 1, args.nmax + 1):
-            if (n * args.degree) % 2 != 0:
+        for n in range(d + 1, args.nmax + 1):
+            if (n * d) % 2 != 0:
                 continue
-            ln_l = enumeration.bollobas_regular_count_log(n, args.degree).ln
-            ln_u = (
-                repr(enumeration.unlabeled_regular_count_log(n, args.degree).ln)
-                if args.degree >= 3
-                else ""
-            )
-            rows.append((n, repr(ln_l), ln_u))
-        _write_csv(args.out, "n,ln_labeled,ln_unlabeled", rows, args.reproducible)
-    elif args.table == "rarity":
-        rows = []
-        for n in range(args.r + 1, args.nmax + 1):
-            if (n * args.r) % 2 != 0:
-                continue
-            ln_l = enumeration.bollobas_regular_count_log(n, args.r).ln
-            ln_g = math.comb(n, 2) * math.log(2.0)
-            rows.append((n, repr(ln_l), repr(ln_g), repr(ln_l - ln_g)))
-        _write_csv(args.out, "n,ln_L,ln_G,ln_ratio", rows, args.reproducible)
+            ln_l = enumeration.bollobas_regular_count_log(n, d).ln
+            if args.table == "rarity":
+                ln_g = math.comb(n, 2) * math.log(2.0)
+                rows.append((n, repr(ln_l), repr(ln_g), repr(ln_l - ln_g)))
+            else:
+                ln_u = repr(enumeration.unlabeled_regular_count_log(n, d).ln) if d >= 3 else ""
+                rows.append((n, repr(ln_l), ln_u))
+        header = "n,ln_L,ln_G,ln_ratio" if args.table == "rarity" else "n,ln_labeled,ln_unlabeled"
+        _write_csv(args.out, header, rows, args.reproducible)
     elif args.table == "catalan":
         rows = []
         for n in range(2, args.nmax + 1):
@@ -350,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--pmax", type=int, default=20)
     p_enum.add_argument("--p", type=int, default=4)
-    p_enum.add_argument("--degree", type=int, default=3)
-    p_enum.add_argument("--r", type=int, default=3)
+    p_enum.add_argument("--degree", "--r", dest="degree", type=int, default=3)
     p_enum.add_argument("--nmax", type=int, default=60)
     p_enum.add_argument("--n", type=int, default=10)
     p_enum.add_argument("--out", default="-")

@@ -6,6 +6,9 @@ escapes the unit circle (beta_i r_i deg(i) >= mu_i) is flagged: reducing its
 beta until beta_i r_i deg(i) = kappa * mu_i with kappa < 1 pulls every disc
 strictly inside, which is sufficient (not necessary) for sigma(H) < 1 and
 hence for extinction of the bound dynamics.
+
+The flagged set is one sorted array of node ids, and selection and tuning
+are whole-array operations on it.
 """
 
 from __future__ import annotations
@@ -24,22 +27,14 @@ DEFAULT_SAFETY = 0.9
 @dataclass(frozen=True, eq=False)
 class SelectionReport:
     """Per-node disc centers 1 - mu_i and radii beta_i r_i deg(i), the
-    flagged set {i : margin_i <= 0}, and the margins mu_i - beta_i r_i deg(i)
-    (most negative = most critical).  The arrays are read-only."""
+    margins mu_i - beta_i r_i deg(i) (most negative = most critical), and
+    ``flagged``, the sorted int64 ids {i : margin_i <= 0}.  The arrays are
+    read-only."""
 
     centers: np.ndarray
     radii: np.ndarray
-    flagged: frozenset[int]
+    flagged: np.ndarray
     margins: np.ndarray
-
-
-@dataclass(frozen=True)
-class ControlPlan:
-    """Tuned beta for each flagged node; untouched nodes are absent.  Every
-    tuned node satisfies beta' r deg = safety * mu < mu."""
-
-    new_beta: dict[int, float]
-    safety: float
 
 
 def select_nodes(g: Graph, params: NodeParams) -> SelectionReport:
@@ -49,9 +44,9 @@ def select_nodes(g: Graph, params: NodeParams) -> SelectionReport:
     centers = 1.0 - params.mu
     radii = params.beta * params.r * g.degrees
     margins = params.mu - radii
-    for arr in (centers, radii, margins):
+    flagged = np.flatnonzero(margins <= 0.0)
+    for arr in (centers, radii, flagged, margins):
         arr.flags.writeable = False
-    flagged = frozenset(np.flatnonzero(margins <= 0.0).tolist())
     return SelectionReport(centers, radii, flagged, margins)
 
 
@@ -60,25 +55,23 @@ def tune_betas(
     params: NodeParams,
     report: SelectionReport,
     kappa: float = DEFAULT_SAFETY,
-) -> tuple[NodeParams, ControlPlan]:
+) -> NodeParams:
     """Lower beta on flagged nodes to beta' = kappa * mu / (r * deg), clamped
-    so beta never increases.  Returns the tuned params and the plan; with
-    kappa < 1 a subsequent select_nodes flags nothing."""
+    so beta never increases.  With kappa < 1 a subsequent select_nodes flags
+    nothing."""
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"safety factor must lie in (0, 1), got {kappa}")
+    _check_sizes(g, params)
+    if report.margins.size != g.n:
+        raise ValueError(f"report covers {report.margins.size} nodes, graph has {g.n}")
+    f = report.flagged
+    scale = params.r[f] * g.degrees[f]
+    bad = f[scale == 0.0]  # radius 0 < mu_i, so such a node can never be flagged
+    if bad.size:
+        raise RuntimeError(f"internal consistency: flagged node {bad[0]} has r*deg = 0")
     new_beta = np.array(params.beta)
-    plan: dict[int, float] = {}
-    for i in sorted(report.flagged):
-        scale = float(params.r[i]) * float(g.degrees[i])
-        if scale == 0.0:
-            # radius 0 < mu_i, so such a node can never be flagged
-            raise RuntimeError(
-                f"internal consistency: flagged node {i} has r*deg = 0"
-            )
-        tuned = min(float(params.beta[i]), kappa * float(params.mu[i]) / scale)
-        new_beta[i] = tuned
-        plan[i] = tuned
-    return params.with_beta(new_beta), ControlPlan(plan, kappa)
+    new_beta[f] = np.minimum(params.beta[f], kappa * params.mu[f] / scale)
+    return params.with_beta(new_beta)
 
 
 def verify_stabilization(g: Graph, params: NodeParams) -> SpectralEstimate:
@@ -101,23 +94,27 @@ def write_selection_report(
     header_comment: str | None = None,
 ) -> None:
     """CSV ``node,degree,mu,beta,r,margin,flagged`` sorted by node."""
-    columns = (g.degrees, params.mu, params.beta, params.r, report.margins)
+    flag = np.zeros(g.n, dtype=np.int64)
+    flag[report.flagged] = 1
+    columns = (g.degrees, params.mu, params.beta, params.r, report.margins, flag)
     rows = (
-        f"{i},{d},{m!r},{b!r},{c!r},{x!r},{int(i in report.flagged)}\n"
-        for i, (d, m, b, c, x) in enumerate(zip(*(col.tolist() for col in columns)))
+        f"{i},{d},{m!r},{b!r},{c!r},{x!r},{k}\n"
+        for i, (d, m, b, c, x, k) in enumerate(zip(*(col.tolist() for col in columns)))
     )
     write_csv(path, "node,degree,mu,beta,r,margin,flagged", rows, header_comment)
 
 
 def write_control_plan(
-    plan: ControlPlan,
+    report: SelectionReport,
     original: NodeParams,
+    tuned: NodeParams,
     path,
     header_comment: str | None = None,
 ) -> None:
-    """CSV ``node,beta_old,beta_new`` for tuned nodes only, sorted by node."""
+    """CSV ``node,beta_old,beta_new`` for the flagged nodes, sorted by node."""
+    f = report.flagged
     rows = (
-        f"{i},{float(original.beta[i])!r},{plan.new_beta[i]!r}\n"
-        for i in sorted(plan.new_beta)
+        f"{i},{old!r},{new!r}\n"
+        for i, old, new in zip(f.tolist(), original.beta[f].tolist(), tuned.beta[f].tolist())
     )
     write_csv(path, "node,beta_old,beta_new", rows, header_comment)

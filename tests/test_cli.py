@@ -243,6 +243,18 @@ class TestSimulate:
         assert first[("0", "5")] == "0.1"
         assert first[("0", "1")] == "0.0"
 
+    @pytest.mark.parametrize("spec, detail", [
+        ("uniform:abc", "could not convert string to float: 'abc'"),
+        ("single:x:0.5", "invalid literal for int() with base 10: 'x'"),
+        ("single:3:abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_inline_p0_names_the_spec(self, star9_files, tmp_path, capsys, spec, detail):
+        graph_path, params_path = star9_files
+        code = cli.main(["simulate", "--graph", str(graph_path), "--params",
+                         str(params_path), "--p0", spec, "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad p0 spec '{spec}': {detail}\n"
+
 
 def test_reproducible_pipeline_is_byte_identical(star9_files, tmp_path, capsys):
     graph_path, params_path = star9_files
@@ -298,6 +310,18 @@ class TestEnum:
         assert header == ["n", "ln_L", "ln_G", "ln_ratio"]
         ratios = [float(r[3]) for r in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+    def test_degree_and_r_are_one_option(self, tmp_path):
+        outs = {}
+        for table in ("rarity", "regular-asym"):
+            for flag in ("--degree", "--r"):
+                out = tmp_path / f"{table}{flag}.csv"
+                assert cli.main(["enum", table, flag, "4", "--nmax", "30",
+                                 "--out", str(out), "--reproducible"]) == 0
+                outs[table, flag] = out.read_bytes()
+            assert outs[table, "--degree"] == outs[table, "--r"]
+        _, rows = read_csv_rows(tmp_path / "rarity--degree.csv")
+        assert [int(r[0]) for r in rows][:3] == [5, 6, 7]
 
     def test_catalan_sweep(self, tmp_path):
         out = tmp_path / "cat.csv"

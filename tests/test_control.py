@@ -12,7 +12,14 @@ from netquench.control import (
     write_selection_report,
 )
 from netquench.dynamics import NodeParams, spectral_radius
-from netquench.graphs import Graph, generate_complete, generate_erdos_renyi, generate_ring
+from netquench.graphs import (
+    Graph,
+    generate_barabasi_albert,
+    generate_complete,
+    generate_erdos_renyi,
+    generate_random_regular,
+    generate_ring,
+)
 from netquench.oracles import dense_bound_matrix, dense_spectral_radius
 
 STAR9 = Graph(10, [(0, i) for i in range(1, 10)])
@@ -74,40 +81,53 @@ class TestSelect:
 
     def test_star_flags_hub_only(self):
         rep = select_nodes(STAR9, NodeParams.homogeneous(10, 0.5, 0.2, 1.0))
-        assert rep.flagged == {0}
+        assert rep.flagged.tolist() == [0]
         assert rep.margins[0] == pytest.approx(0.5 - 1.8)
         assert rep.margins[1] == pytest.approx(0.3)
 
     def test_no_infection_flags_nothing(self):
         rep = select_nodes(STAR9, NodeParams.homogeneous(10, 0.5, 0.0, 1.0))
-        assert rep.flagged == frozenset()
+        assert rep.flagged.size == 0
 
     def test_boundary_case_is_flagged(self):
         g = star(4)
         rep = select_nodes(g, NodeParams.homogeneous(5, 0.8, 0.2, 1.0))
         assert 0 in rep.flagged  # margin exactly 0
 
+    def test_flagged_is_sorted_read_only_id_array(self):
+        rng = np.random.default_rng(5)
+        g = generate_erdos_renyi(60, 0.1, 11)
+        params = NodeParams(rng.uniform(0.05, 1.0, 60), rng.uniform(0.0, 0.5, 60),
+                            rng.uniform(0.05, 1.0, 60))
+        rep = select_nodes(g, params)
+        assert rep.flagged.dtype == np.int64 and not rep.flagged.flags.writeable
+        assert np.array_equal(rep.flagged, np.flatnonzero(rep.margins <= 0.0))
+        assert 0 < rep.flagged.size < g.n
+
 
 class TestTune:
     def test_star_formula(self):
         params = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
-        tuned, plan = tune_betas(STAR9, params, select_nodes(STAR9, params), kappa=0.9)
-        assert plan.new_beta == {0: pytest.approx(0.05)}
+        rep = select_nodes(STAR9, params)
+        tuned = tune_betas(STAR9, params, rep, kappa=0.9)
+        assert rep.flagged.tolist() == [0]
         assert tuned.beta[0] == pytest.approx(0.05)
         assert np.all(tuned.beta[1:] == 0.2)
-        assert select_nodes(STAR9, tuned).flagged == frozenset()
+        assert select_nodes(STAR9, tuned).flagged.size == 0
 
     def test_noop_when_unflagged(self):
         params = NodeParams.homogeneous(10, 0.5, 0.01, 1.0)
-        tuned, plan = tune_betas(STAR9, params, select_nodes(STAR9, params))
-        assert plan.new_beta == {}
+        rep = select_nodes(STAR9, params)
+        tuned = tune_betas(STAR9, params, rep)
+        assert rep.flagged.size == 0
         assert np.array_equal(tuned.beta, params.beta)
 
     def test_homogeneous_ring(self):
         g = generate_ring(12)
         params = NodeParams.homogeneous(12, 0.2, 0.3, 0.9)
-        tuned, plan = tune_betas(g, params, select_nodes(g, params), kappa=0.9)
-        assert len(plan.new_beta) == 12
+        rep = select_nodes(g, params)
+        tuned = tune_betas(g, params, rep, kappa=0.9)
+        assert rep.flagged.size == 12
         assert np.allclose(tuned.beta, 0.1)
 
     def test_idempotent(self):
@@ -120,10 +140,10 @@ class TestTune:
                 np.array([rng.uniform(0.0, 1.0) for _ in range(n)]),
                 np.array([rng.uniform(0.05, 1.0) for _ in range(n)]),
             )
-            tuned, _ = tune_betas(g, params, select_nodes(g, params))
-            assert select_nodes(g, tuned).flagged == frozenset()
-            again, plan2 = tune_betas(g, tuned, select_nodes(g, tuned))
-            assert plan2.new_beta == {}
+            tuned = tune_betas(g, params, select_nodes(g, params))
+            rep2 = select_nodes(g, tuned)
+            assert rep2.flagged.size == 0
+            again = tune_betas(g, tuned, rep2)
             assert np.array_equal(again.beta, tuned.beta)
             assert np.all(tuned.beta <= params.beta)  # control only restricts
 
@@ -138,15 +158,57 @@ class TestTune:
         g = Graph(2)  # no edges: degree 0 everywhere
         params = NodeParams.homogeneous(2, 0.5, 0.5, 0.5)
         real = select_nodes(g, params)
-        fake = SelectionReport(real.centers, real.radii, frozenset({0}), real.margins)
+        fake = SelectionReport(real.centers, real.radii, np.array([0]), real.margins)
         with pytest.raises(RuntimeError, match="consistency"):
             tune_betas(g, params, fake)
+
+    def test_size_mismatch_rejected(self):
+        ring9 = generate_ring(9)
+        params = NodeParams.homogeneous(9, 0.2, 0.3, 0.9)
+        rep = select_nodes(ring9, params)
+        with pytest.raises(ValueError, match="does not match graph order"):
+            tune_betas(ring9, NodeParams.homogeneous(20, 0.2, 0.3, 0.9), rep)
+        ring20 = generate_ring(20)
+        with pytest.raises(ValueError, match="report covers 9 nodes"):
+            tune_betas(ring20, NodeParams.homogeneous(20, 0.2, 0.3, 0.9), rep)
+
+
+def _reference_tune(g, params, report, kappa):
+    """The per-node loop tune_betas replaced: one Python min per flagged node."""
+    new_beta = np.array(params.beta)
+    for i in report.flagged.tolist():
+        scale = float(params.r[i]) * float(g.degrees[i])
+        assert scale != 0.0
+        new_beta[i] = min(float(params.beta[i]), kappa * float(params.mu[i]) / scale)
+    return new_beta
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.9, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("make_graph", [
+    lambda seed: generate_barabasi_albert(800, 3, 2, seed),
+    lambda seed: generate_random_regular(400, 3, seed),
+    lambda seed: generate_erdos_renyi(300, 0.02, seed),
+], ids=["ba", "regular", "er"])
+def test_tune_matches_per_node_reference(make_graph, kappa):
+    for seed in (1, 2):
+        g = make_graph(seed)
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(0.05, 1.0, g.n)
+        beta = rng.uniform(0.0, 0.5, g.n)
+        r = rng.uniform(0.05, 1.0, g.n)
+        beta[rng.random(g.n) < 0.1] = 0.0
+        r[rng.random(g.n) < 0.1] = 0.0
+        params = NodeParams(mu, beta, r)
+        rep = select_nodes(g, params)
+        assert rep.flagged.size > 0
+        tuned = tune_betas(g, params, rep, kappa)
+        assert np.array_equal(tuned.beta, _reference_tune(g, params, rep, kappa))
 
 
 class TestVerifyStabilization:
     def test_post_tune_star(self):
         params = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
-        tuned, _ = tune_betas(STAR9, params, select_nodes(STAR9, params))
+        tuned = tune_betas(STAR9, params, select_nodes(STAR9, params))
         est = verify_stabilization(STAR9, tuned)
         assert est.verdict == "stable" and est.sigma < 1.0
 
@@ -182,7 +244,7 @@ class TestProperties:
                 1.0, np.array([rng.uniform(0.2, s_hi) for _ in range(n)]) * mu / (r * deg)
             )
             params = NodeParams(mu, beta, r)
-            if select_nodes(g, params).flagged:
+            if select_nodes(g, params).flagged.size:
                 continue
             est = spectral_radius(g, params, tol=1e-13)
             assert est.converged and est.sigma < 1.0
@@ -217,7 +279,7 @@ class TestProperties:
                 for beta in (0.05, 0.1, 0.2, 0.3):
                     params = NodeParams.homogeneous(g.n, mu, beta, 1.0)
                     rep = select_nodes(g, params)
-                    if not rep.flagged:
+                    if rep.flagged.size == 0:
                         continue
                     sigma = dense_spectral_radius(dense_bound_matrix(g, params))
                     if sigma < 1.0:
@@ -228,7 +290,7 @@ class TestProperties:
         params = NodeParams.homogeneous(5, 0.8, 0.2, 1.0)
         rep = select_nodes(g, params)
         sigma = dense_spectral_radius(dense_bound_matrix(g, params))
-        assert rep.flagged == {0}
+        assert rep.flagged.tolist() == [0]
         assert sigma == pytest.approx(0.6, abs=1e-12)
         assert (4, 0.8, 0.2) in {(w[0], w[1], w[2]) for w in witnesses}
 
@@ -247,18 +309,19 @@ class TestCsvOutputs:
 
     def test_plan_format(self, tmp_path):
         params = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
-        tuned, plan = tune_betas(STAR9, params, select_nodes(STAR9, params))
+        rep = select_nodes(STAR9, params)
+        tuned = tune_betas(STAR9, params, rep)
         out = tmp_path / "plan.csv"
-        write_control_plan(plan, params, out)
+        write_control_plan(rep, params, tuned, out)
         lines = out.read_text().splitlines()
         assert lines == ["node,beta_old,beta_new", "0,0.2,0.05"]
 
     def test_files_use_lf_line_endings(self, tmp_path):
         params = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
         rep = select_nodes(STAR9, params)
-        _, plan = tune_betas(STAR9, params, rep)
+        tuned = tune_betas(STAR9, params, rep)
         write_selection_report(rep, STAR9, params, tmp_path / "r.csv", header_comment="c")
-        write_control_plan(plan, params, tmp_path / "p.csv", header_comment="c")
+        write_control_plan(rep, params, tuned, tmp_path / "p.csv", header_comment="c")
         for name, rows in (("r.csv", 12), ("p.csv", 3)):
             data = (tmp_path / name).read_bytes()
             assert b"\r" not in data
