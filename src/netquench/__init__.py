@@ -1,12 +1,7 @@
 """netquench: SIS epidemic thresholds on undirected networks, Gerschgorin
 control-node selection, and exact/asymptotic labeled-graph enumeration."""
 
-from .control import (
-    SelectionReport,
-    select_nodes,
-    tune_betas,
-    verify_stabilization,
-)
+from .control import SelectionReport, select_nodes, tune_betas
 from .dynamics import (
     ConvergenceError,
     NodeParams,

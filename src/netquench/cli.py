@@ -4,7 +4,9 @@ Subcommands: generate, analyze, control, simulate, enum, verify.  Reports
 are JSON (nested data); tables and time series are CSV.  Every command is
 deterministic given its flags and seed; ``--reproducible`` suppresses the
 timestamp header line so repeated runs are byte-identical.  Exit code 0
-means every requested computation converged and validated.
+means every requested computation converged and validated; a sigma(H)
+solve that runs out of iterations ends analyze, control and simulate with
+``error: ...`` and exit code 1 before they write any output.
 """
 
 from __future__ import annotations
@@ -91,36 +93,20 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _analysis_payload(
-    g: graphs.Graph,
-    params: dynamics.NodeParams,
-    report: control.SelectionReport,
-    reproducible: bool,
-) -> dict:
+def cmd_analyze(args) -> int:
+    g = graphs.read_graph(args.graph)
+    params = dynamics.load_params(args.params)
+    report = control.select_nodes(g, params)
     est = dynamics.spectral_radius(g, params)
     payload = {
         "n": g.n,
         "num_edges": g.num_edges,
         "sigma": est.sigma,
-        "sigma_converged": est.converged,
         "verdict": est.verdict,
-        "margins": report.margins.tolist(),
         "flagged": report.flagged.tolist(),
-        "discs": [
-            {"node": i, "center": c, "radius": r}
-            for i, (c, r) in enumerate(zip(report.centers.tolist(), report.radii.tolist()))
-        ],
     }
-    if not reproducible:
+    if not args.reproducible:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return payload
-
-
-def cmd_analyze(args) -> int:
-    g = graphs.read_graph(args.graph)
-    params = dynamics.load_params(args.params)
-    report = control.select_nodes(g, params)
-    payload = _analysis_payload(g, params, report, args.reproducible)
     with open_output(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -129,7 +115,7 @@ def cmd_analyze(args) -> int:
             report, g, params, args.report_csv,
             header_comment=_timestamp_comment(args.reproducible),
         )
-    return 0 if payload["sigma_converged"] else 1
+    return 0
 
 
 def cmd_control(args) -> int:
@@ -137,10 +123,10 @@ def cmd_control(args) -> int:
     params = dynamics.load_params(args.params)
     report = control.select_nodes(g, params)
     tuned = control.tune_betas(g, params, report, kappa=args.kappa)
+    est = dynamics.spectral_radius(g, tuned)
     stamp = _timestamp_comment(args.reproducible)
     dynamics.save_params(tuned, args.params_out, header_comment=stamp)
     control.write_control_plan(report, params, tuned, args.plan_out, header_comment=stamp)
-    est = control.verify_stabilization(g, tuned)
     stable = est.verdict == "stable"
     print(f"tuned={report.flagged.size} sigma={est.sigma!r} stable={str(stable).lower()}")
     return 0 if stable else 1
@@ -150,6 +136,7 @@ def cmd_simulate(args) -> int:
     g = graphs.read_graph(args.graph)
     params = dynamics.load_params(args.params)
     p0 = parse_p0_spec(args.p0, g.n)
+    est = dynamics.spectral_radius(g, params)
     traj = dynamics.simulate(
         g,
         params,
@@ -161,9 +148,8 @@ def cmd_simulate(args) -> int:
     dynamics.write_trajectory_csv(
         traj, args.out, header_comment=_timestamp_comment(args.reproducible)
     )
-    est = dynamics.spectral_radius(g, params)
     print(f"{traj.verdict},{traj.steps_to_verdict},{est.sigma!r}")
-    return 0 if est.converged and traj.verdict != dynamics.VERDICT_UNDECIDED else 1
+    return 0 if traj.verdict != dynamics.VERDICT_UNDECIDED else 1
 
 
 def cmd_enum(args) -> int:
@@ -268,7 +254,7 @@ def _verify_checks(expensive: bool):
             )
             est = dynamics.spectral_radius(g, params, tol=1e-13, max_iter=200_000)
             ref = oracles.dense_spectral_radius(oracles.dense_bound_matrix(g, params))
-            if not est.converged or abs(est.sigma - ref) >= 1e-8:
+            if abs(est.sigma - ref) >= 1e-8:
                 return False
         return True
 
@@ -316,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--reproducible", action="store_true")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_an = sub.add_parser("analyze", help="spectral radius, threshold verdict, disc margins")
+    p_an = sub.add_parser("analyze", help="spectral radius, threshold verdict, flagged nodes")
     p_an.add_argument("--graph", required=True)
     p_an.add_argument("--params", required=True)
     p_an.add_argument("--out", default="-")

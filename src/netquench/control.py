@@ -2,10 +2,11 @@
 
 Every eigenvalue of H = I - diag(mu) + diag(beta*r) A lies in the union of
 discs centered at 1 - mu_i with radius beta_i r_i deg(i).  A node whose disc
-escapes the unit circle (beta_i r_i deg(i) >= mu_i) is flagged: reducing its
-beta until beta_i r_i deg(i) = kappa * mu_i with kappa < 1 pulls every disc
-strictly inside, which is sufficient (not necessary) for sigma(H) < 1 and
-hence for extinction of the bound dynamics.
+escapes the unit circle (margin mu_i - beta_i r_i deg(i) <= 0) is flagged:
+reducing its beta until beta_i r_i deg(i) = kappa * mu_i with kappa < 1 pulls
+every disc strictly inside, which is sufficient (not necessary) for
+sigma(H) < 1 and hence for extinction of the bound dynamics.  Whether a
+tuned network is in fact stable is dynamics.spectral_radius's verdict.
 
 The flagged set is one sorted array of node ids, and selection and tuning
 are whole-array operations on it.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConvergenceError, NodeParams, SpectralEstimate, _check_sizes, spectral_radius
+from .dynamics import NodeParams, _check_sizes
 from .graphs import Graph
 from .textio import write_csv
 
@@ -26,28 +27,28 @@ DEFAULT_SAFETY = 0.9
 
 @dataclass(frozen=True, eq=False)
 class SelectionReport:
-    """Per-node disc centers 1 - mu_i and radii beta_i r_i deg(i), the
-    margins mu_i - beta_i r_i deg(i) (most negative = most critical), and
-    ``flagged``, the sorted int64 ids {i : margin_i <= 0}.  The arrays are
-    read-only."""
+    """Per-node disc margins mu_i - beta_i r_i deg(i) (most negative = most
+    critical) and ``flagged``, the sorted int64 ids {i : margin_i <= 0}.
+    The arrays are read-only."""
 
-    centers: np.ndarray
-    radii: np.ndarray
-    flagged: np.ndarray
     margins: np.ndarray
+    flagged: np.ndarray
+
+
+def _margins(mu: np.ndarray, beta: np.ndarray, r: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """mu_i - beta_i r_i deg(i), the one expression selection and tuning share."""
+    return mu - beta * r * deg
 
 
 def select_nodes(g: Graph, params: NodeParams) -> SelectionReport:
     """Flag every node violating beta_i r_i deg(i) < mu_i (non-strictly, so
     the boundary case is controlled too)."""
     _check_sizes(g, params)
-    centers = 1.0 - params.mu
-    radii = params.beta * params.r * g.degrees
-    margins = params.mu - radii
+    margins = _margins(params.mu, params.beta, params.r, g.degrees)
     flagged = np.flatnonzero(margins <= 0.0)
-    for arr in (centers, radii, flagged, margins):
+    for arr in (margins, flagged):
         arr.flags.writeable = False
-    return SelectionReport(centers, radii, flagged, margins)
+    return SelectionReport(margins, flagged)
 
 
 def tune_betas(
@@ -57,7 +58,9 @@ def tune_betas(
     kappa: float = DEFAULT_SAFETY,
 ) -> NodeParams:
     """Lower beta on flagged nodes to beta' = kappa * mu / (r * deg), clamped
-    so beta never increases.  With kappa < 1 a subsequent select_nodes flags
+    so beta never increases.  Where rounding leaves a node's margin at or
+    below 0 (kappa within an ulp or so of 1), its beta steps down one float
+    at a time until it is positive, so a subsequent select_nodes flags
     nothing."""
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"safety factor must lie in (0, 1), got {kappa}")
@@ -65,25 +68,17 @@ def tune_betas(
     if report.margins.size != g.n:
         raise ValueError(f"report covers {report.margins.size} nodes, graph has {g.n}")
     f = report.flagged
-    scale = params.r[f] * g.degrees[f]
+    mu, r, deg = params.mu[f], params.r[f], g.degrees[f]
+    scale = r * deg
     bad = f[scale == 0.0]  # radius 0 < mu_i, so such a node can never be flagged
     if bad.size:
         raise RuntimeError(f"internal consistency: flagged node {bad[0]} has r*deg = 0")
+    beta = np.minimum(params.beta[f], kappa * mu / scale)
+    while (still := _margins(mu, beta, r, deg) <= 0.0).any():
+        beta[still] = np.nextafter(beta[still], 0.0)
     new_beta = np.array(params.beta)
-    new_beta[f] = np.minimum(params.beta[f], kappa * params.mu[f] / scale)
+    new_beta[f] = beta
     return params.with_beta(new_beta)
-
-
-def verify_stabilization(g: Graph, params: NodeParams) -> SpectralEstimate:
-    """Recompute sigma(H) for (possibly tuned) params; the estimate's
-    ``verdict`` is "stable" iff sigma < 1 - MARGINAL_TOL.  Raises
-    ConvergenceError rather than report an untrusted estimate."""
-    est = spectral_radius(g, params)
-    if not est.converged:
-        raise ConvergenceError(
-            f"spectral radius did not converge within {est.iterations} iterations"
-        )
-    return est
 
 
 def write_selection_report(

@@ -81,17 +81,17 @@ class NodeParams:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Power-iteration estimate of sigma(H).  ``converged`` is False when the
-    iteration budget ran out; the estimate must then not be trusted silently."""
+    """Converged power-iteration estimate of sigma(H) and the iterations it
+    took.  spectral_radius raises ConvergenceError rather than return an
+    estimate that ran out of iterations."""
 
     sigma: float
-    converged: bool
     iterations: int
 
     @property
     def verdict(self) -> str:
-        """classify_sigma(sigma) when converged, "unconverged" otherwise."""
-        return classify_sigma(self.sigma) if self.converged else "unconverged"
+        """classify_sigma(sigma): "stable", "marginal" or "unstable"."""
+        return classify_sigma(self.sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +216,8 @@ def spectral_radius(
     the dominant eigenvalue strictly dominant even when some 1 - mu_i vanish
     on bipartite structure (where plain iteration can stall on a +/- pair),
     and is subtracted from the reported estimate.  Convergence means two
-    successive estimates differ by less than tol; otherwise the best
-    estimate is returned with converged=False.
+    successive estimates differ by less than tol; ConvergenceError is
+    raised when max_iter iterations do not get there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -231,9 +231,12 @@ def spectral_radius(
         est = float(x @ y)  # Rayleigh quotient of H + I at unit x
         x = y / np.linalg.norm(y)
         if abs(est - prev) < tol:
-            return SpectralEstimate(est - 1.0, True, it)
+            return SpectralEstimate(est - 1.0, it)
         prev = est
-    return SpectralEstimate(est - 1.0, False, max_iter)
+    raise ConvergenceError(
+        f"spectral radius did not converge within {max_iter} iterations "
+        f"(last estimate {est - 1.0!r})"
+    )
 
 
 def classify_sigma(sigma: float) -> str:

@@ -3,7 +3,8 @@
 Exhaustive enumerations over all 2^C(p,2) labeled graphs validate the
 counting recurrences and asymptotics; a dense H and a dense eigensolver
 validate the sparse power iteration.  Hard caps keep the whole oracle suite
-cheap; all but the dense-H cap can be lifted with ``expensive=True``.
+cheap; only brute_count_connected's can be raised, by one order, with
+``expensive=True`` (what ``verify --expensive`` runs).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .graphs import Graph
 CAP_CONNECTED = 6
 CAP_CONNECTED_EXPENSIVE = 7
 CAP_REGULAR = 6
-CAP_REGULAR_EXPENSIVE = 7
 CAP_DENSE = 12
 CAP_CATALAN = 14
 
@@ -109,14 +109,10 @@ def brute_count_connected(p: int, expensive: bool = False) -> BigCount:
     )
 
 
-def brute_count_regular(n: int, r: int, expensive: bool = False) -> BigCount:
+def brute_count_regular(n: int, r: int) -> BigCount:
     """Count labeled r-regular graphs on n vertices by trying every mask."""
-    cap = CAP_REGULAR_EXPENSIVE if expensive else CAP_REGULAR
-    if n < 1 or n > cap:
-        raise ValueError(
-            f"exhaustive regularity count capped at n <= {cap} "
-            f"(expensive={expensive}), got {n}"
-        )
+    if n < 1 or n > CAP_REGULAR:
+        raise ValueError(f"exhaustive regularity count capped at n <= {CAP_REGULAR}, got {n}")
     if r < 0 or r >= n:
         raise ValueError(f"degree must satisfy 0 <= r < n, got r={r}, n={n}")
     if (n * r) % 2 != 0:
@@ -179,7 +175,7 @@ def dense_bound_matrix(g: Graph, params: NodeParams) -> np.ndarray:
     return h
 
 
-def dense_spectral_radius(h: np.ndarray, expensive: bool = False) -> float:
+def dense_spectral_radius(h: np.ndarray) -> float:
     """Spectral radius of a small dense nonnegative matrix.
 
     When the off-diagonal part is a positive-diagonal scaling of a symmetric
@@ -193,11 +189,8 @@ def dense_spectral_radius(h: np.ndarray, expensive: bool = False) -> float:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
     if np.any(h < 0):
         raise ValueError("matrix must be entrywise nonnegative")
-    if not expensive and h.shape[0] > CAP_DENSE:
-        raise ValueError(
-            f"dense oracle capped at n <= {CAP_DENSE} (expensive=False), "
-            f"got {h.shape[0]}"
-        )
+    if h.shape[0] > CAP_DENSE:
+        raise ValueError(f"dense oracle capped at n <= {CAP_DENSE}, got {h.shape[0]}")
     if np.allclose(h, h.T, rtol=1e-12, atol=1e-14):
         vals = np.linalg.eigvalsh(0.5 * (h + h.T))
         return float(np.max(np.abs(vals)))
@@ -222,12 +215,12 @@ def non_infection_probability(
     return out
 
 
-def brute_catalan(n: int, expensive: bool = False) -> BigCount:
+def brute_catalan(n: int) -> BigCount:
     """(n-1)-th Catalan number by exact dynamic programming over Dyck paths
     (never-negative +/-1 walks of length 2(n-1) ending at 0)."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    if not expensive and n > CAP_CATALAN:
+    if n > CAP_CATALAN:
         raise ValueError(f"Catalan oracle capped at n <= {CAP_CATALAN}, got {n}")
     m = n - 1
     ways = [0] * (m + 1)

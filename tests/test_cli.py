@@ -5,7 +5,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from netquench import cli
+from netquench import cli, dynamics
 from netquench.dynamics import NodeParams, load_params, save_params
 from netquench.graphs import Graph, generate_ring, read_graph, write_graph
 
@@ -72,13 +72,7 @@ class TestAnalyze:
         assert report["flagged"] == [0]
         assert report["verdict"] == "unstable"
         assert report["sigma"] == pytest.approx(1.1, abs=1e-9)
-        assert len(report["margins"]) == 10
-        assert report["discs"][0] == {
-            "node": 0,
-            "center": pytest.approx(0.5),
-            "radius": pytest.approx(1.8),
-        }
-        assert "generated_at" not in report
+        assert sorted(report) == ["flagged", "n", "num_edges", "sigma", "verdict"]
 
     def test_generated_at_is_iso_timestamp(self, star9_files, tmp_path):
         graph_path, params_path = star9_files
@@ -87,6 +81,7 @@ class TestAnalyze:
                   str(params_path), "--out", str(out)])
         report = json.loads(out.read_text())
         assert datetime.fromisoformat(report["generated_at"]).tzinfo is not None
+        assert sorted(report) == ["flagged", "generated_at", "n", "num_edges", "sigma", "verdict"]
 
     def test_regular_homogeneous_all_or_nothing(self, tmp_path):
         g = generate_ring(8)
@@ -120,6 +115,8 @@ class TestAnalyze:
         header, rows = read_csv_rows(report_csv)
         assert header == ["node", "degree", "mu", "beta", "r", "margin", "flagged"]
         assert rows[0][-1] == "1" and rows[1][-1] == "0"
+        assert float(rows[0][5]) == pytest.approx(0.5 - 1.8)  # center 0.5, radius 1.8
+        assert len(rows) == 10
 
 
 class TestControl:
@@ -254,6 +251,28 @@ class TestSimulate:
                          str(params_path), "--p0", spec, "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert capsys.readouterr().err == f"error: bad p0 spec '{spec}': {detail}\n"
+
+
+@pytest.mark.parametrize("command, output_flags", [
+    ("analyze", ["--out", "--report-csv"]),
+    ("control", ["--params-out", "--plan-out"]),
+    ("simulate", ["--out"]),
+], ids=["analyze", "control", "simulate"])
+def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatch,
+                                       command, output_flags):
+    solve = dynamics.spectral_radius
+    monkeypatch.setattr(dynamics, "spectral_radius",
+                        lambda g, params: solve(g, params, tol=1e-15, max_iter=5))
+    graph_path, params_path = star9_files
+    outputs = [arg for k, flag in enumerate(output_flags)
+               for arg in (flag, str(tmp_path / f"out{k}"))]
+    code = cli.main([command, "--graph", str(graph_path), "--params", str(params_path),
+                     *outputs, "--reproducible"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: spectral radius did not converge within 5 iterations")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv", "star.edges"]
 
 
 def test_reproducible_pipeline_is_byte_identical(star9_files, tmp_path, capsys):

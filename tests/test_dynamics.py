@@ -3,8 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from netquench import control
-from netquench.control import verify_stabilization
 from netquench.dynamics import (
     ConvergenceError,
     NodeParams,
@@ -239,7 +237,6 @@ class TestSpectralRadius:
             np.array([0.1, 0.4, 0.7, 1.0]), np.full(4, 0.5), np.full(4, 0.5)
         )
         est = spectral_radius(g, params)
-        assert est.converged
         assert est.sigma == pytest.approx(0.9, abs=1e-10)
 
     def test_ring_closed_form(self):
@@ -260,7 +257,6 @@ class TestSpectralRadius:
             g, params = random_instance(rng, n_hi=10)
             est = spectral_radius(g, params, tol=1e-13, max_iter=200_000)
             ref = dense_spectral_radius(dense_bound_matrix(g, params))
-            assert est.converged
             assert abs(est.sigma - ref) < 1e-8
 
     def test_monotone_in_beta_scaling(self):
@@ -277,40 +273,33 @@ class TestSpectralRadius:
         params = NodeParams(
             np.array([0.5, 0.5]), np.array([0.3, 0.0]), np.array([1.0, 1.0])
         )
-        est = spectral_radius(g, params, tol=1e-15, max_iter=5)
-        assert not est.converged
-        assert est.iterations == 5
-        assert est.verdict == "unconverged"
+        with pytest.raises(ConvergenceError, match=r"within 5 iterations \(last estimate "):
+            spectral_radius(g, params, tol=1e-15, max_iter=5)
 
 
 class TestThresholdCheck:
     def test_stable_without_infection(self):
         g = generate_ring(6)
         params = NodeParams.homogeneous(6, 0.5, 0.0, 1.0)
-        assert verify_stabilization(g, params).verdict == "stable"
+        assert spectral_radius(g, params).verdict == "stable"
 
     def test_marginal_star(self):
         g = Graph(5, [(0, i) for i in range(1, 5)])
         params = NodeParams.homogeneous(5, 0.5, 0.25, 1.0)
-        assert verify_stabilization(g, params).verdict == "marginal"
+        assert spectral_radius(g, params).verdict == "marginal"
 
     def test_unstable_ring(self):
         g = generate_ring(9)
         params = NodeParams.homogeneous(9, 0.2, 0.3, 0.9)
-        assert verify_stabilization(g, params).verdict == "unstable"
+        assert spectral_radius(g, params).verdict == "unstable"
 
-    def test_propagates_nonconvergence(self, monkeypatch):
+    def test_propagates_nonconvergence(self):
         g = Graph(2, [(0, 1)])
         params = NodeParams(
             np.array([0.5, 0.5]), np.array([0.3, 0.0]), np.array([1.0, 1.0])
         )
-        monkeypatch.setattr(
-            control,
-            "spectral_radius",
-            lambda g, params: spectral_radius(g, params, tol=1e-15, max_iter=5),
-        )
         with pytest.raises(ConvergenceError, match="5 iterations"):
-            verify_stabilization(g, params)
+            spectral_radius(g, params, tol=1e-15, max_iter=5).verdict
 
     def test_classify_sigma_band(self):
         assert classify_sigma(1.0 - 2e-6) == "stable"
@@ -344,7 +333,7 @@ class TestDominationAndStability:
                     break
                 beta *= 0.7
             trial = params.with_beta(beta)
-            if verify_stabilization(g, trial).verdict != "stable":
+            if spectral_radius(g, trial).verdict != "stable":
                 continue
             traj = simulate(g, trial, np.ones(g.n), max_steps=10_000)
             assert traj.verdict == "extinct"
