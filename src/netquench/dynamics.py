@@ -10,7 +10,10 @@ synchronously (all zeta_i computed from the old state).  Replacing
 ``1 - zeta_i`` by its linear upper bound ``beta_i r_i sum_j p_j`` gives the
 bound system x(t+1) = H x(t) with H = I - diag(mu) + diag(beta*r) A, a
 nonnegative matrix: extinction of the bound system (spectral radius
-sigma(H) < 1) forces extinction of the exact dynamics.
+sigma(H) < 1) forces extinction of the exact dynamics.  spectral_radius
+finds sigma(H) by restarted Lanczos on a symmetric matrix similar to H and
+certifies it with a Collatz-Wielandt bracket lower <= sigma(H) <= upper;
+the stable/marginal/unstable verdict is read from that bracket.
 
 All functions are pure; states are plain float arrays in [0, 1]^n.
 """
@@ -32,6 +35,17 @@ PLATEAU_RTOL = 1e-9
 
 # Half-width of the "marginal" band around the threshold sigma = 1.
 MARGINAL_TOL = 1e-6
+
+# Vectors in spectral_radius's Lanczos basis (it allocates one more, for the
+# residual direction); a restart keeps half of them.
+LANCZOS_BASIS = 20
+
+# H-steps that may refine a sigma(H) bracket straddling a marginal-band edge.
+REFINE_STEPS = 30
+
+# Entries of a bracket's test vector at or below this fraction of its
+# largest are outside its support for the lower bound.
+SUPPORT_RTOL = 1e-12
 
 VERDICT_EXTINCT = "extinct"
 VERDICT_ENDEMIC = "endemic"
@@ -81,17 +95,26 @@ class NodeParams:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Converged power-iteration estimate of sigma(H) and the iterations it
-    took.  spectral_radius raises ConvergenceError rather than return an
-    estimate that ran out of iterations."""
+    """sigma(H) certified by lower <= sigma(H) <= upper.  sigma is the
+    Lanczos Ritz value clamped into that bracket, and iterations counts the
+    matrix-vector products the solve took.  spectral_radius raises
+    ConvergenceError rather than return an estimate that ran out of them."""
 
     sigma: float
     iterations: int
+    lower: float
+    upper: float
 
     @property
     def verdict(self) -> str:
-        """classify_sigma(sigma): "stable", "marginal" or "unstable"."""
-        return classify_sigma(self.sigma)
+        """The bracket against the marginal band: "stable" when
+        upper < 1 - MARGINAL_TOL, "unstable" when lower > 1 + MARGINAL_TOL,
+        else "marginal"."""
+        if classify_sigma(self.upper) == "stable":
+            return "stable"
+        if classify_sigma(self.lower) == "unstable":
+            return "unstable"
+        return "marginal"
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,37 +229,132 @@ def simulate(
     return Trajectory(np.array(states), VERDICT_UNDECIDED, max_steps)
 
 
+def _live_block(g: Graph, params: NodeParams, live: np.ndarray) -> tuple[Graph, NodeParams]:
+    """The subgraph induced on the nodes where ``live`` holds, with their params."""
+    ids = np.flatnonzero(live)
+    new_id = np.cumsum(live) - 1
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    keep = live[rows] & live[g.indices]
+    pairs = np.column_stack((new_id[rows[keep]], new_id[g.indices[keep]]))
+    return Graph(ids.size, pairs), NodeParams(params.mu[ids], params.beta[ids], params.r[ids])
+
+
 def spectral_radius(
     g: Graph, params: NodeParams, tol: float = 1e-12, max_iter: int = 100_000
 ) -> SpectralEstimate:
-    """Estimate sigma(H) by power iteration from the all-ones vector with
-    successive Rayleigh-quotient estimates.
+    """sigma(H) by thick-restart Lanczos, certified by a Collatz-Wielandt
+    bracket.
 
-    Internally iterates the shifted matrix H + I: the positive shift makes
-    the dominant eigenvalue strictly dominant even when some 1 - mu_i vanish
-    on bipartite structure (where plain iteration can stall on a +/- pair),
-    and is subtracted from the reported estimate.  Convergence means two
-    successive estimates differ by less than tol; ConvergenceError is
-    raised when max_iter iterations do not get there.
+    H is similar to the symmetric S = I - diag(mu) + W^1/2 A W^1/2 with
+    W = diag(beta*r), so sigma(H) is the largest eigenvalue of S.  Nodes with
+    w_i = 0 have empty off-diagonal rows in H, hence sigma(H) = max(sigma of
+    the block of live nodes (w > 0), max over the others of 1 - mu_i); only
+    the live block is iterated.  Lanczos runs on it from the normalised
+    all-ones vector with a basis of LANCZOS_BASIS vectors and full
+    reorthogonalisation; a full basis restarts from its top half of Ritz
+    vectors (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  It stops
+    when the residual of the top Ritz pair (theta, y) drops below ``tol``
+    or the basis spans the block.
+
+    For any nonnegative x, min (Hx)_i/x_i over the support of x is a lower
+    bound on sigma(H), and for positive x, max (Hx)_i/x_i is an upper bound.
+    The bracket intersects these bounds for x = W^1/2 |S y| and for Hx,
+    with entries at most SUPPORT_RTOL times the largest left out of the
+    support and zeros floored for the upper bound; x = 1 adds the largest
+    row sum of H as an upper bound.  A bracket that still straddles an edge
+    of the marginal band is refined by up to REFINE_STEPS steps
+    x <- (H + I) x (the shift keeps a bipartite block with mu = 1 from
+    oscillating).  ``max_iter`` budgets every matrix-vector product, of S
+    and of H alike; ConvergenceError is raised when it runs out.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_sizes(g, params)
+    live = params.beta * params.r > 0
+    dead = float(np.max(1.0 - params.mu[~live], initial=-math.inf))
+    if not live.any():
+        return SpectralEstimate(dead, 0, dead, dead)
+    if not live.all():
+        g, params = _live_block(g, params, live)
+    s = np.sqrt(params.beta * params.r)
+    d = 1.0 - params.mu
     n = g.n
-    x = np.full(n, 1.0 / math.sqrt(n))
-    prev = math.inf
-    est = prev
-    for it in range(1, max_iter + 1):
-        y = linear_bound_step(g, params, x) + x  # (H + I) x
-        est = float(x @ y)  # Rayleigh quotient of H + I at unit x
-        x = y / np.linalg.norm(y)
-        if abs(est - prev) < tol:
-            return SpectralEstimate(est - 1.0, it)
-        prev = est
-    raise ConvergenceError(
-        f"spectral radius did not converge within {max_iter} iterations "
-        f"(last estimate {est - 1.0!r})"
-    )
+    used, theta = 0, math.nan
+
+    def spend() -> None:
+        nonlocal used
+        if used >= max_iter:
+            raise ConvergenceError(
+                f"spectral radius did not converge within {max_iter} iterations "
+                f"(last estimate {max(theta, dead)!r})"
+            )
+        used += 1
+
+    m = min(LANCZOS_BASIS, n)
+    basis = np.empty((m + 1, n))
+    proj = np.zeros((m, m))  # basis^T S basis
+    basis[0] = 1.0 / math.sqrt(n)
+    first, converged = 0, False
+    while not converged:
+        for j in range(first, m):
+            spend()
+            q = d * basis[j] + s * _neighbor_sums(g, s * basis[j])
+            h = np.zeros(j + 1)
+            for _ in range(2):  # full reorthogonalisation; twice is enough
+                c = basis[: j + 1] @ q
+                q -= basis[: j + 1].T @ c
+                h += c
+            proj[j, : j + 1] = proj[: j + 1, j] = h
+            b = float(np.linalg.norm(q))
+            ritz, vecs = np.linalg.eigh(proj[: j + 1, : j + 1])
+            theta, z = float(ritz[-1]), vecs[:, -1]
+            converged = b * abs(z[-1]) < tol or j + 1 == n
+            if converged:
+                break
+            basis[j + 1] = q / b
+        else:
+            # thick restart: the top half of the Ritz vectors, then the
+            # residual direction, which S couples to each of them
+            first = m // 2
+            basis[:first] = vecs[:, -first:].T @ basis[:m]
+            basis[first] = basis[m]
+            proj[:] = 0.0
+            proj[:first, :first] = np.diag(ritz[-first:])
+    y = basis[: j + 1].T @ z
+
+    def bracket(x: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        # also returns the positive vector u of the upper bound and Hu
+        floor = SUPPORT_RTOL * x.max()
+        support = x > floor
+        spend()
+        hx = linear_bound_step(g, params, np.where(support, x, 0.0))
+        lower = float(np.min(hx[support] / x[support]))
+        if not support.all():
+            x = np.where(x > 0.0, x, floor)
+            spend()
+            hx = linear_bound_step(g, params, x)
+        return lower, float(np.max(hx / x)), x, hx
+
+    # S y = theta y + z_k q by the Lanczos relation, so W^1/2 |S y| is one
+    # free H-step of W^1/2 |y|.  theta = 0 only when S = 0.
+    lower, upper, x, hx = bracket(s * np.abs(theta * y + z[-1] * q if theta > 0 else y))
+    # x = 1 gives the Gerschgorin bound, the largest row sum of H: a tuned
+    # set whose discs all end below 1 - MARGINAL_TOL is then always "stable"
+    upper = min(upper, float(np.max(d + params.beta * params.r * g.degrees)))
+    edges = (1.0 - MARGINAL_TOL, 1.0 + MARGINAL_TOL)
+    for step in range(REFINE_STEPS + 1):
+        # Step 0 runs on any open bracket: an H-step damps the Ritz error on
+        # low-amplitude nodes, which sets the bracket's width.  Later steps
+        # run while the bracket straddles a band edge and use H + I, so that
+        # a bipartite block with mu = 1 does not oscillate.
+        if lower == upper or (step and not any(lower <= e <= upper for e in edges)):
+            break
+        x = hx if step == 0 else hx + x
+        lo, up, x, hx = bracket(x / x.max())
+        lower, upper = max(lower, lo), min(upper, up)
+    lower = max(lower, dead)
+    upper = max(upper, lower)  # bounds that meet can cross by a rounding
+    return SpectralEstimate(min(max(theta, dead, lower), upper), used, lower, upper)
 
 
 def classify_sigma(sigma: float) -> str:

@@ -2,9 +2,10 @@
 
 Exhaustive enumerations over all 2^C(p,2) labeled graphs validate the
 counting recurrences and asymptotics; a dense H and a dense eigensolver
-validate the sparse power iteration.  Hard caps keep the whole oracle suite
-cheap; only brute_count_connected's can be raised, by one order, with
-``expensive=True`` (what ``verify --expensive`` runs).
+validate the sparse Lanczos solver and its sigma(H) bracket.  Hard caps
+keep the whole oracle suite cheap; only brute_count_connected's can be
+raised, by one order, with ``expensive=True`` (what ``verify --expensive``
+runs).
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def dense_spectral_radius(h: np.ndarray) -> float:
     pattern, a diagonal similarity makes the matrix symmetric and the
     symmetric eigensolver applies; otherwise the general eigensolver is
     used.  Either way this is the machine-precision reference the sparse
-    power iteration is checked against.
+    Lanczos estimate and its Collatz-Wielandt bracket are checked against.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:

@@ -7,7 +7,7 @@ import pytest
 
 from netquench import cli, dynamics
 from netquench.dynamics import NodeParams, load_params, save_params
-from netquench.graphs import Graph, generate_ring, read_graph, write_graph
+from netquench.graphs import Graph, generate_random_regular, generate_ring, read_graph, write_graph
 
 
 @pytest.fixture
@@ -72,7 +72,10 @@ class TestAnalyze:
         assert report["flagged"] == [0]
         assert report["verdict"] == "unstable"
         assert report["sigma"] == pytest.approx(1.1, abs=1e-9)
-        assert sorted(report) == ["flagged", "n", "num_edges", "sigma", "verdict"]
+        assert report["sigma_lower"] <= report["sigma"] <= report["sigma_upper"]
+        assert report["sigma_upper"] - report["sigma_lower"] < 1e-12
+        assert sorted(report) == ["flagged", "n", "num_edges", "sigma", "sigma_lower",
+                                  "sigma_upper", "verdict"]
 
     def test_generated_at_is_iso_timestamp(self, star9_files, tmp_path):
         graph_path, params_path = star9_files
@@ -81,7 +84,8 @@ class TestAnalyze:
                   str(params_path), "--out", str(out)])
         report = json.loads(out.read_text())
         assert datetime.fromisoformat(report["generated_at"]).tzinfo is not None
-        assert sorted(report) == ["flagged", "generated_at", "n", "num_edges", "sigma", "verdict"]
+        assert sorted(report) == ["flagged", "generated_at", "n", "num_edges", "sigma",
+                                  "sigma_lower", "sigma_upper", "verdict"]
 
     def test_regular_homogeneous_all_or_nothing(self, tmp_path):
         g = generate_ring(8)
@@ -167,6 +171,23 @@ class TestControl:
         out = capsys.readouterr().out
         assert "stable=false" in out
         assert float(out.split("sigma=")[1].split()[0]) < 1.0
+
+    def test_kappa_near_one_is_not_stable(self, tmp_path, capsys):
+        # homogeneous 3-regular graph: the tuned sigma is 1 - (1 - kappa) mu,
+        # so every disc lies inside the unit circle for both kappas, but
+        # only (1 - kappa) mu > 1e-6 keeps sigma below the marginal band
+        write_graph(generate_random_regular(12, 3, seed=1), tmp_path / "g.edges")
+        save_params(NodeParams.homogeneous(12, 0.8, 0.3, 1.0), tmp_path / "p.csv")
+        codes = {}
+        for kappa in ("0.9", "0.9999999999999999"):
+            codes[kappa] = cli.main(["control", "--graph", str(tmp_path / "g.edges"),
+                                     "--params", str(tmp_path / "p.csv"), "--kappa", kappa,
+                                     "--params-out", str(tmp_path / "t.csv"),
+                                     "--plan-out", str(tmp_path / "plan.csv")])
+            out = capsys.readouterr().out
+            assert out.startswith("tuned=12 ")
+            assert ("stable=true" if kappa == "0.9" else "stable=false") in out
+        assert codes == {"0.9": 0, "0.9999999999999999": 1}
 
 
 class TestSimulate:
@@ -262,7 +283,7 @@ def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatc
                                        command, output_flags):
     solve = dynamics.spectral_radius
     monkeypatch.setattr(dynamics, "spectral_radius",
-                        lambda g, params: solve(g, params, tol=1e-15, max_iter=5))
+                        lambda g, params: solve(g, params, max_iter=1))
     graph_path, params_path = star9_files
     outputs = [arg for k, flag in enumerate(output_flags)
                for arg in (flag, str(tmp_path / f"out{k}"))]
@@ -271,7 +292,7 @@ def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: spectral radius did not converge within 5 iterations")
+    assert captured.err.startswith("error: spectral radius did not converge within 1 iterations")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv", "star.edges"]
 
 

@@ -3,9 +3,12 @@ import random
 import numpy as np
 import pytest
 
+from netquench.control import select_nodes, tune_betas
 from netquench.dynamics import (
+    MARGINAL_TOL,
     ConvergenceError,
     NodeParams,
+    SpectralEstimate,
     classify_sigma,
     linear_bound_step,
     load_params,
@@ -17,8 +20,29 @@ from netquench.dynamics import (
     write_trajectory_csv,
     zeta_vector,
 )
-from netquench.graphs import Graph, generate_complete, generate_erdos_renyi, generate_ring
+from netquench.graphs import (
+    Graph,
+    generate_barabasi_albert,
+    generate_complete,
+    generate_erdos_renyi,
+    generate_ring,
+)
 from netquench.oracles import dense_bound_matrix, dense_spectral_radius, non_infection_probability
+
+
+STAR9 = Graph(10, [(0, i) for i in range(1, 10)])
+STAR9_PARAMS = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
+
+
+def sparse_instance(rng):
+    """n <= 10 on a sparse ER graph (often disconnected, with isolated
+    vertices); about a quarter of the nodes get beta * r = 0."""
+    n = rng.randint(1, 10)
+    g = generate_erdos_renyi(n, rng.choice([0.1, 0.25, 0.5]), rng.randrange(1 << 30))
+    beta = [0.0 if rng.random() < 0.15 else rng.uniform(0.01, 1.0) for _ in range(n)]
+    r = [0.0 if rng.random() < 0.1 else rng.uniform(0.05, 1.0) for _ in range(n)]
+    mu = [rng.uniform(0.01, 1.0) for _ in range(n)]
+    return g, NodeParams(np.array(mu), np.array(beta), np.array(r))
 
 
 def random_instance(rng, n_lo=2, n_hi=12, mu_lo=0.05):
@@ -269,12 +293,75 @@ class TestSpectralRadius:
             assert scaled <= base + 1e-9
 
     def test_unconverged_reported_honestly(self):
+        # Lanczos needs 2 products on the homogeneous star, the bracket 2 more
+        with pytest.raises(ConvergenceError, match=r"within 1 iterations \(last estimate "):
+            spectral_radius(STAR9, STAR9_PARAMS, max_iter=1)
+        with pytest.raises(ConvergenceError, match=r"within 3 iterations \(last estimate "):
+            spectral_radius(STAR9, STAR9_PARAMS, max_iter=3)
+        est = spectral_radius(STAR9, STAR9_PARAMS, max_iter=4)
+        assert est.iterations == 4
+        assert est.sigma == pytest.approx(1.1, abs=1e-12)
+
+    def test_dead_node_is_deflated(self):
+        # w_1 = 0 makes H = [[0.5, 0.3], [0, 0.5]] defective; node 1 is
+        # deflated and the live block is the 1x1 matrix [0.5]
         g = Graph(2, [(0, 1)])
         params = NodeParams(
             np.array([0.5, 0.5]), np.array([0.3, 0.0]), np.array([1.0, 1.0])
         )
-        with pytest.raises(ConvergenceError, match=r"within 5 iterations \(last estimate "):
-            spectral_radius(g, params, tol=1e-15, max_iter=5)
+        est = spectral_radius(g, params)
+        assert est.sigma == 0.5
+        assert est.lower <= 0.5 <= est.upper
+        assert est.upper - est.lower < 1e-15
+
+    def test_only_dead_nodes(self):
+        g = generate_ring(4)
+        params = NodeParams(np.array([0.9, 0.2, 0.5, 1.0]), np.zeros(4), np.ones(4))
+        est = spectral_radius(g, params)
+        assert (est.sigma, est.lower, est.upper, est.iterations) == (0.8, 0.8, 0.8, 0)
+
+    def test_regular_homogeneous_needs_one_lanczos_step(self):
+        # ones is the Perron vector: 1 product of S, 1 of H for the bracket
+        g = generate_ring(50)
+        est = spectral_radius(g, NodeParams.homogeneous(50, 0.2, 0.3, 0.9))
+        assert est.iterations == 2
+        assert est.lower <= 1.34 + 1e-15 and est.upper >= 1.34 - 1e-15
+        assert est.upper - est.lower < 1e-14
+
+    def test_bracket_contains_dense_sigma(self):
+        rng = random.Random(71)
+        edges = (1.0 - MARGINAL_TOL, 1.0 + MARGINAL_TOL)
+        for k in range(300):
+            g, params = sparse_instance(rng)
+            ref = dense_spectral_radius(dense_bound_matrix(g, params))
+            if k % 2:
+                # shift mu so that sigma lands next to a band edge: sigma(H - cI) = sigma - c
+                c = ref - rng.choice(edges) - rng.choice([-1, 1]) * rng.choice([1e-9, 1e-8, 1e-4])
+                if not (0.0 < params.mu.min() + c and params.mu.max() + c <= 1.0):
+                    continue
+                params = NodeParams(params.mu + c, params.beta, params.r)
+                ref = dense_spectral_radius(dense_bound_matrix(g, params))
+            est = spectral_radius(g, params)
+            assert est.lower - 1e-12 <= ref <= est.upper + 1e-12
+            assert est.lower <= est.sigma <= est.upper
+            # x = 1 gives the largest row sum of H as an upper bound
+            assert est.upper <= dense_bound_matrix(g, params).sum(axis=1).max() + 1e-12
+            if min(abs(ref - e) for e in edges) >= 1e-9:
+                assert est.verdict == classify_sigma(ref)
+
+    def test_instance17_bracket_excludes_power_value(self):
+        # BA(5000, 3, 2) and params of held-out benchmark instance 17, tuned
+        # at kappa = 0.9; 0.9350080573991937 is what power iteration reported
+        n = 5000
+        g = generate_barabasi_albert(n, 3, 2, seed=17)
+        rng = np.random.default_rng(17)
+        params = NodeParams(rng.uniform(0.1, 1.0, n), rng.uniform(0.01, 0.3, n),
+                            rng.uniform(0.2, 1.0, n))
+        tuned = tune_betas(g, params, select_nodes(g, params), kappa=0.9)
+        est = spectral_radius(g, tuned)
+        assert est.upper - est.lower < 1e-8
+        assert est.lower <= est.sigma <= est.upper
+        assert 0.9350080573991937 > est.upper
 
 
 class TestThresholdCheck:
@@ -294,12 +381,19 @@ class TestThresholdCheck:
         assert spectral_radius(g, params).verdict == "unstable"
 
     def test_propagates_nonconvergence(self):
-        g = Graph(2, [(0, 1)])
-        params = NodeParams(
-            np.array([0.5, 0.5]), np.array([0.3, 0.0]), np.array([1.0, 1.0])
-        )
-        with pytest.raises(ConvergenceError, match="5 iterations"):
-            spectral_radius(g, params, tol=1e-15, max_iter=5).verdict
+        with pytest.raises(ConvergenceError, match="1 iterations"):
+            spectral_radius(STAR9, STAR9_PARAMS, max_iter=1).verdict
+
+    def test_verdict_reads_the_bracket(self):
+        def verdict(sigma, lower, upper):
+            return SpectralEstimate(sigma, 1, lower, upper).verdict
+
+        assert verdict(0.99, 0.98, 0.995) == "stable"
+        assert verdict(1.01, 1.005, 1.02) == "unstable"
+        # sigma alone would say stable/unstable; the bracket reaches the band
+        assert verdict(0.99, 0.98, 1.0 - 1e-6) == "marginal"
+        assert verdict(1.01, 1.0 + 1e-6, 1.02) == "marginal"
+        assert verdict(0.99, 0.98, 1.02) == "marginal"
 
     def test_classify_sigma_band(self):
         assert classify_sigma(1.0 - 2e-6) == "stable"
