@@ -153,11 +153,12 @@ class TestControl:
         code = cli.main(["control", "--graph", str(tmp_path / "g.edges"),
                          "--params", str(tmp_path / "p.csv"),
                          "--params-out", str(tmp_path / "t.csv"),
-                         "--plan-out", str(tmp_path / "plan.csv")])
+                         "--plan-out", str(tmp_path / "plan.csv"), "--reproducible"])
         assert code == 0
         assert "tuned=0" in capsys.readouterr().out
-        _, rows = read_csv_rows(tmp_path / "plan.csv")
-        assert rows == []
+        # the plan is the header line alone; the tuned params are the input
+        assert (tmp_path / "plan.csv").read_bytes() == b"node,beta_old,beta_new\n"
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
     def test_marginal_sigma_is_not_stable(self, tmp_path, capsys):
         # sigma = 1 - 5e-7: below 1, but inside the band analyze calls marginal
