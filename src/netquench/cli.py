@@ -39,15 +39,14 @@ _KNOWN_CONNECTED_PREFIX = (
 )
 
 
+# The options each generator needs beyond --n.
+_GENERATE_FLAGS = {"regular": ("r",), "ba": ("m0", "m"), "er": ("p",)}
+
+
 def _timestamp_comment(reproducible: bool) -> str | None:
     if reproducible:
         return None
     return f"generated {datetime.now(timezone.utc).isoformat()}"
-
-
-def _write_csv(path, header: str, rows, reproducible: bool) -> None:
-    text = (",".join(map(str, row)) + "\n" for row in rows)
-    write_csv(path, header, text, _timestamp_comment(reproducible))
 
 
 def _p0_field(spec: str, convert, text: str):
@@ -78,6 +77,9 @@ def parse_p0_spec(spec: str, n: int) -> np.ndarray:
 
 
 def cmd_generate(args) -> int:
+    for flag in _GENERATE_FLAGS.get(args.kind, ()):
+        if getattr(args, flag) is None:
+            raise ValueError(f"generate {args.kind} needs --{flag}")
     if args.kind == "ring":
         g = graphs.generate_ring(args.n)
     elif args.kind == "regular":
@@ -157,50 +159,38 @@ def cmd_simulate(args) -> int:
 def cmd_enum(args) -> int:
     if args.table == "connected":
         counts = enumeration.connected_labeled_table(args.pmax)
-        rows = [(p, c) for p, c in enumerate(counts, start=1)]
-        _write_csv(args.out, "p,C_p", rows, args.reproducible)
+        header, cols = "p,C_p", (range(1, len(counts) + 1), counts)
     elif args.table == "all":
-        rows = [(p, enumeration.count_all_labeled_graphs(p)) for p in range(args.pmax + 1)]
-        _write_csv(args.out, "p,G_p", rows, args.reproducible)
+        ps = range(args.pmax + 1)
+        header, cols = "p,G_p", (ps, [enumeration.count_all_labeled_graphs(p) for p in ps])
     elif args.table == "edges":
-        top = math.comb(args.p, 2)
-        rows = [
-            (k, enumeration.count_labeled_graphs_with_edges(args.p, k))
-            for k in range(top + 1)
-        ]
-        _write_csv(args.out, "k,count", rows, args.reproducible)
+        ks = range(math.comb(args.p, 2) + 1)
+        counts = [enumeration.count_labeled_graphs_with_edges(args.p, k) for k in ks]
+        header, cols = "k,count", (ks, counts)
     elif args.table in ("regular-asym", "rarity"):
         d = args.degree
-        rows = []
-        for n in range(d + 1, args.nmax + 1):
-            if (n * d) % 2 != 0:
-                continue
-            ln_l = enumeration.bollobas_regular_count_log(n, d).ln
-            if args.table == "rarity":
-                ln_g = math.comb(n, 2) * math.log(2.0)
-                rows.append((n, repr(ln_l), repr(ln_g), repr(ln_l - ln_g)))
-            else:
-                ln_u = repr(enumeration.unlabeled_regular_count_log(n, d).ln) if d >= 3 else ""
-                rows.append((n, repr(ln_l), ln_u))
-        header = "n,ln_L,ln_G,ln_ratio" if args.table == "rarity" else "n,ln_labeled,ln_unlabeled"
-        _write_csv(args.out, header, rows, args.reproducible)
+        ns = [n for n in range(d + 1, args.nmax + 1) if (n * d) % 2 == 0]
+        ln_l = [enumeration.bollobas_regular_count_log(n, d).ln for n in ns]
+        if args.table == "rarity":
+            ln_g = [math.comb(n, 2) * math.log(2.0) for n in ns]
+            ratio = [a - b for a, b in zip(ln_l, ln_g)]
+            header, cols = "n,ln_L,ln_G,ln_ratio", (ns, ln_l, ln_g, ratio)
+        else:
+            ln_u = ([enumeration.unlabeled_regular_count_log(n, d).ln for n in ns]
+                    if d >= 3 else [""] * len(ns))
+            header, cols = "n,ln_labeled,ln_unlabeled", (ns, ln_l, ln_u)
     elif args.table == "catalan":
-        rows = []
-        for n in range(2, args.nmax + 1):
-            exact = enumeration.catalan_coefficient(n)
-            asym = enumeration.catalan_asymptotic_log(n).ln
-            ratio = math.exp(math.log(exact) - asym)
-            rows.append((n, exact, repr(asym), repr(ratio)))
-        _write_csv(args.out, "n,f_n,ln_asymptotic,ratio", rows, args.reproducible)
+        ns = range(2, args.nmax + 1)
+        exact = [enumeration.catalan_coefficient(n) for n in ns]
+        asym = [enumeration.catalan_asymptotic_log(n).ln for n in ns]
+        ratio = [math.exp(math.log(e) - a) for e, a in zip(exact, asym)]
+        header, cols = "n,f_n,ln_asymptotic,ratio", (ns, exact, asym, ratio)
     elif args.table == "wright":
-        cap = args.n * (args.n - 1) // 2
-        rows = [
-            (q, repr(enumeration.wright_condition_value(args.n, q)))
-            for q in range(cap + 1)
-        ]
-        _write_csv(args.out, "q,value", rows, args.reproducible)
+        qs = range(args.n * (args.n - 1) // 2 + 1)
+        header, cols = "q,value", (qs, [enumeration.wright_condition_value(args.n, q) for q in qs])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown table {args.table!r}")
+    write_csv(args.out, header, [cols], _timestamp_comment(args.reproducible))
     return 0
 
 

@@ -89,14 +89,10 @@ def write_selection_report(
     header_comment: str | None = None,
 ) -> None:
     """CSV ``node,degree,mu,beta,r,margin,flagged`` sorted by node."""
-    flag = np.zeros(g.n, dtype=np.int64)
+    flag = np.zeros(g.n, dtype=np.int64)  # bools would print as True/False
     flag[report.flagged] = 1
-    columns = (g.degrees, params.mu, params.beta, params.r, report.margins, flag)
-    rows = (
-        f"{i},{d},{m!r},{b!r},{c!r},{x!r},{k}\n"
-        for i, (d, m, b, c, x, k) in enumerate(zip(*(col.tolist() for col in columns)))
-    )
-    write_csv(path, "node,degree,mu,beta,r,margin,flagged", rows, header_comment)
+    block = (range(g.n), g.degrees, params.mu, params.beta, params.r, report.margins, flag)
+    write_csv(path, "node,degree,mu,beta,r,margin,flagged", [block], header_comment)
 
 
 def write_control_plan(
@@ -108,8 +104,5 @@ def write_control_plan(
 ) -> None:
     """CSV ``node,beta_old,beta_new`` for the flagged nodes, sorted by node."""
     f = report.flagged
-    rows = (
-        f"{i},{old!r},{new!r}\n"
-        for i, old, new in zip(f.tolist(), original.beta[f].tolist(), tuned.beta[f].tolist())
-    )
-    write_csv(path, "node,beta_old,beta_new", rows, header_comment)
+    write_csv(path, "node,beta_old,beta_new", [(f, original.beta[f], tuned.beta[f])],
+              header_comment)

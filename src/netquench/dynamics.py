@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -206,6 +207,8 @@ def simulate(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if endemic_window < 1:
+        raise ValueError("endemic_window must be >= 1")
     if not 0.0 < extinct_tol < 1.0:
         raise ValueError("extinct_tol must lie in (0, 1)")
     _check_sizes(g, params)
@@ -217,7 +220,7 @@ def simulate(
     streak = 0
     for t in range(1, max_steps + 1):
         p = sis_step(g, params, p)
-        states.append(p.copy())
+        states.append(p)
         new_peak = float(p.max())
         if new_peak < extinct_tol:
             return Trajectory(np.array(states), VERDICT_EXTINCT, t)
@@ -374,19 +377,12 @@ def load_params(path) -> NodeParams:
 
 def save_params(params: NodeParams, path, header_comment: str | None = None) -> None:
     """Params CSV ``node,mu,beta,r``, one row per node."""
-    rows = (
-        f"{i},{m!r},{b!r},{c!r}\n"
-        for i, (m, b, c) in enumerate(
-            zip(params.mu.tolist(), params.beta.tolist(), params.r.tolist())
-        )
-    )
-    write_csv(path, "node,mu,beta,r", rows, header_comment)
+    block = (range(params.n), params.mu, params.beta, params.r)
+    write_csv(path, "node,mu,beta,r", [block], header_comment)
 
 
 def write_trajectory_csv(traj: Trajectory, path, header_comment: str | None = None) -> None:
     """Long-format trajectory: one ``t,node,p`` row per node per recorded step."""
-    steps = (
-        "".join(f"{t},{i},{v!r}\n" for i, v in enumerate(state.tolist()))
-        for t, state in enumerate(traj.states)
-    )
-    write_csv(path, "t,node,p", steps, header_comment)
+    n = traj.states.shape[1]
+    blocks = ((repeat(t, n), range(n), state) for t, state in enumerate(traj.states))
+    write_csv(path, "t,node,p", blocks, header_comment)

@@ -1,16 +1,23 @@
 """Text I/O shared by every command: one line reader and one node-table
 reader for every input file, one stream opener and one CSV writer.  Every
 CSV written is UTF-8 with ``\\n`` line endings: an optional ``# comment``
-line, the header line, then the data rows.
+line, the header line, then the data rows.  write_csv is the only code that
+turns numbers into CSV text: ints in decimal, floats as Python's shortest
+round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import sys
+from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+
+# Rows write_csv formats with one ``%`` and one write: enough to spread the
+# per-call cost, few enough to bound the text held at once.
+CSV_CHUNK = 256
 
 
 def data_lines(lines: Iterable[str], sep: str | None = None) -> Iterator[tuple[int, list[str]]]:
@@ -69,11 +76,22 @@ def open_output(path) -> Iterator[TextIO]:
         yield fh
 
 
-def write_csv(path, header: str, rows: Iterable[str], comment: str | None = None) -> None:
-    """Write ``# comment`` (when given), the header line, then ``rows``:
-    chunks of already-formatted CSV text, each ending in a newline."""
+def write_csv(path, header: str, blocks: Iterable[tuple], comment: str | None = None) -> None:
+    """Write ``# comment`` (when given), the header line, then the rows of
+    each block in turn.  A block is a tuple of equal-length columns (numpy
+    arrays, ranges, lists), one per header field; row ``k`` holds entry ``k``
+    of each column, written with ``%s``.  An empty string is an empty field.
+    Rows are formatted CSV_CHUNK at a time, by one ``%`` per chunk."""
+    width = len(header.split(","))
+    row = ",".join(["%s"] * width) + "\n"
     with open_output(path) as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
-        fh.writelines(rows)
+        for block in blocks:
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            if len(columns) != width:
+                raise ValueError(f"{len(columns)} columns for the {width} fields of {header!r}")
+            values = chain.from_iterable(zip(*columns, strict=True))
+            while chunk := tuple(islice(values, CSV_CHUNK * width)):
+                fh.write((row * (len(chunk) // width)) % chunk)

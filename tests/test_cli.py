@@ -52,6 +52,13 @@ class TestGenerate:
                          "--seed", "3", "--out", str(out)]) == 0
         assert read_graph(out).n == 30
 
+    @pytest.mark.parametrize("kind,flag", [("regular", "r"), ("ba", "m0"), ("er", "p")])
+    def test_missing_generator_option_is_an_error(self, tmp_path, capsys, kind, flag):
+        out = tmp_path / "g.edges"
+        assert cli.main(["generate", kind, "--n", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: generate {kind} needs --{flag}\n"
+        assert not out.exists()
+
     def test_reproducible_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
         for out in (a, b):
@@ -238,6 +245,18 @@ class TestSimulate:
                          "--max-steps", "3", "--out", str(tmp_path / "t.csv")])
         assert code == 1
         assert capsys.readouterr().out.startswith("undecided,3,")
+
+    def test_endemic_window_below_one_is_an_error(self, tmp_path, capsys):
+        write_graph(generate_ring(10), tmp_path / "g.edges")
+        save_params(NodeParams.homogeneous(10, 0.9, 0.01, 1.0), tmp_path / "p.csv")
+        out = tmp_path / "t.csv"
+        code = cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
+                         "--params", str(tmp_path / "p.csv"), "--endemic-window", "0",
+                         "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: endemic_window must be >= 1\n"
+        assert captured.out == "" and not out.exists()
 
     def test_single_seed_p0(self, star9_files, tmp_path, capsys):
         graph_path, params_path = star9_files

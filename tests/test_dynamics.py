@@ -179,6 +179,16 @@ class TestSimulate:
         traj = simulate(g, params, np.full(100, 0.5))
         assert traj.verdict == "endemic"
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_endemic_window_below_one_is_rejected(self, window):
+        # sigma = 0.12: the run dies out in 7 steps, so a window of 0 must
+        # not be read as an endemic plateau at step 1
+        g = generate_ring(10)
+        params = NodeParams.homogeneous(10, 0.9, 0.01, 1.0)
+        assert simulate(g, params, np.full(10, 0.5)).steps_to_verdict == 7
+        with pytest.raises(ValueError, match="endemic_window must be >= 1"):
+            simulate(g, params, np.full(10, 0.5), endemic_window=window)
+
     def test_trajectory_invariants(self):
         g = generate_ring(6)
         params = NodeParams.homogeneous(6, 0.5, 0.1, 0.5)

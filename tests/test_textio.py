@@ -1,12 +1,16 @@
 """The shared input rules: every reader skips blank and ``#`` lines (indented
-ones too) and names the line of a malformed row."""
+ones too) and names the line of a malformed row; and the one CSV writer's
+number format."""
 
+from itertools import repeat
+
+import numpy as np
 import pytest
 
 from netquench.cli import parse_p0_spec
 from netquench.dynamics import load_params
 from netquench.graphs import read_graph
-from netquench.textio import data_lines
+from netquench.textio import CSV_CHUNK, data_lines, write_csv
 
 # per format: the header (or vertex count) line and one valid row for node 0
 FORMATS = {
@@ -85,3 +89,44 @@ def test_header_is_checked(tmp_path, fmt):
     path.write_text("# c\nnode,x\n0,0.5\n")
     with pytest.raises(ValueError, match=r"^line 2: expected header"):
         READERS[fmt](path)
+
+
+def test_write_csv_number_format(tmp_path):
+    out = tmp_path / "t.csv"
+    floats = np.array([1e16, 9999999999999998.0, 5e-324, 2.2250738585072014e-308, 0.1, -0.0])
+    ints = [2**64, -(2**70) - 1, 0, 7, -3, 1]
+    write_csv(out, "k,x,n,s", [(range(6), floats, ints, ["", "a", "", "", "", ""])], "note")
+    assert out.read_text() == (
+        "# note\n"
+        "k,x,n,s\n"
+        "0,1e+16,18446744073709551616,\n"
+        "1,9999999999999998.0,-1180591620717411303425,a\n"
+        "2,5e-324,0,\n"
+        "3,2.2250738585072014e-308,7,\n"
+        "4,0.1,-3,\n"
+        "5,-0.0,1,\n"
+    )
+
+
+def test_write_csv_blocks_follow_each_other(tmp_path):
+    out = tmp_path / "t.csv"
+    n = CSV_CHUNK + 3  # a block longer than one chunk
+    blocks = [(repeat(t, n), range(n), np.full(n, t / 2)) for t in range(2)]
+    write_csv(out, "t,node,p", blocks)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,node,p" and len(lines) == 1 + 2 * n
+    assert lines[1] == "0,0,0.0" and lines[n] == f"0,{n - 1},0.0"
+    assert lines[n + 1] == "1,0,0.5" and lines[-1] == f"1,{n - 1},0.5"
+
+
+@pytest.mark.parametrize("blocks", [[], [(np.array([], dtype=np.int64), [], range(0))]])
+def test_write_csv_empty_block_writes_the_header(tmp_path, blocks):
+    out = tmp_path / "t.csv"
+    write_csv(out, "node,beta_old,beta_new", blocks)
+    assert out.read_bytes() == b"node,beta_old,beta_new\n"
+
+
+@pytest.mark.parametrize("block", [(range(3), [0.5, 0.25]), (range(2), [0.5, 0.25], [1, 2])])
+def test_write_csv_rejects_a_block_that_does_not_fit(tmp_path, block):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", "a,b", [block])
