@@ -201,10 +201,11 @@ def generate_complete(n: int) -> Graph:
 def generate_random_regular(
     n: int, r: int, seed: int, max_restarts: int = DEFAULT_PAIRING_RESTARTS
 ) -> Graph:
-    """Uniform-ish random simple r-regular graph via the pairing model.
+    """Uniformly random simple r-regular graph via the pairing model.
 
-    All n*r half-edge stubs are shuffled and paired; any loop or repeated
-    pair triggers a full restart, which keeps the accepted sample unbiased.
+    All n*r half-edge stubs are shuffled and paired; a loop or repeated pair
+    triggers a full restart.  Every simple r-regular graph arises from (r!)^n
+    pairings, so the accepted sample is exactly uniform.
     Raises GenerationError (reporting the attempt count) if max_restarts
     pairings all fail.
     """

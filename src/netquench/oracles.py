@@ -2,10 +2,10 @@
 
 Exhaustive enumerations over all 2^C(p,2) labeled graphs validate the
 counting recurrences and asymptotics; a dense H and a dense eigensolver
-validate the sparse Lanczos solver and its sigma(H) bracket.  Hard caps
-keep the whole oracle suite cheap; only brute_count_connected's can be
-raised, by one order, with ``expensive=True`` (what ``verify --expensive``
-runs).
+validate the sparse Lanczos solver and its sigma(H) bracket.  Each
+exhaustive count is one pass over the masks of its order; brute_count_regular
+returns the count of every degree from that one pass.  Hard caps keep the
+whole oracle suite cheap.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .enumeration import BigCount
 from .graphs import Graph
 
 CAP_CONNECTED = 6
-CAP_CONNECTED_EXPENSIVE = 7
 CAP_REGULAR = 6
 CAP_DENSE = 12
 CAP_CATALAN = 14
@@ -52,11 +51,7 @@ class GraphMask:
         return [order[b] for b in range(len(order)) if self.bits >> b & 1]
 
     def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.p
-        for i, j in self.edges():
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
+        return tuple(_mask_degrees(self.p, self.bits, edge_order(self.p)))
 
     def is_connected(self) -> bool:
         """One component spanning all p vertices (isolated vertices count
@@ -96,46 +91,41 @@ def _mask_components(p: int, bits: int, order: list[tuple[int, int]]) -> int:
     return components
 
 
-def brute_count_connected(p: int, expensive: bool = False) -> BigCount:
+def _mask_degrees(p: int, bits: int, order: list[tuple[int, int]]) -> list[int]:
+    """Vertex degrees by a walk over the set bits."""
+    deg = [0] * p
+    b = bits
+    while b:
+        low = b & -b
+        i, j = order[low.bit_length() - 1]
+        b ^= low
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+def brute_count_connected(p: int) -> BigCount:
     """Count connected labeled graphs on p vertices by trying every mask."""
-    cap = CAP_CONNECTED_EXPENSIVE if expensive else CAP_CONNECTED
-    if p < 1 or p > cap:
-        raise ValueError(
-            f"exhaustive connectivity count capped at p <= {cap} "
-            f"(expensive={expensive}), got {p}"
-        )
+    if p < 1 or p > CAP_CONNECTED:
+        raise ValueError(f"exhaustive connectivity count capped at p <= {CAP_CONNECTED}, got {p}")
     order = edge_order(p)
     return sum(
         1 for bits in range(1 << len(order)) if _mask_components(p, bits, order) == 1
     )
 
 
-def brute_count_regular(n: int, r: int) -> BigCount:
-    """Count labeled r-regular graphs on n vertices by trying every mask."""
+def brute_count_regular(n: int) -> list[BigCount]:
+    """``counts[r]``, the number of labeled r-regular graphs on n vertices,
+    for r = 0..n-1, by one pass over every mask (0 where n*r is odd)."""
     if n < 1 or n > CAP_REGULAR:
         raise ValueError(f"exhaustive regularity count capped at n <= {CAP_REGULAR}, got {n}")
-    if r < 0 or r >= n:
-        raise ValueError(f"degree must satisfy 0 <= r < n, got r={r}, n={n}")
-    if (n * r) % 2 != 0:
-        raise ValueError(f"parity violation: n*r = {n * r} must be even")
     order = edge_order(n)
-    count = 0
+    counts = [0] * n
     for bits in range(1 << len(order)):
-        deg = [0] * n
-        b = bits
-        ok = True
-        while b:
-            low = b & -b
-            i, j = order[low.bit_length() - 1]
-            b ^= low
-            deg[i] += 1
-            deg[j] += 1
-            if deg[i] > r or deg[j] > r:
-                ok = False
-                break
-        if ok and all(d == r for d in deg):
-            count += 1
-    return count
+        deg = _mask_degrees(n, bits, order)
+        if deg.count(deg[0]) == n:
+            counts[deg[0]] += 1
+    return counts
 
 
 def _try_symmetrize(h: np.ndarray) -> np.ndarray | None:

@@ -9,6 +9,7 @@ round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).
 from __future__ import annotations
 
 import contextlib
+import os
 import sys
 from itertools import chain, islice
 from typing import Iterable, Iterator, TextIO
@@ -68,12 +69,19 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
 
 @contextlib.contextmanager
 def open_output(path) -> Iterator[TextIO]:
-    """A text stream writing to ``path``; ``"-"`` is stdout, which is left open."""
+    """A text stream writing to ``path``; ``"-"`` is stdout, which is left open.
+    If the body raises, the file is closed and deleted before the exception
+    propagates; what has already gone to stdout cannot be taken back."""
     if path == "-":
         yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        yield fh
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def write_csv(path, header: str, blocks: Iterable[tuple], comment: str | None = None) -> None:

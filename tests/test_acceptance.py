@@ -137,7 +137,7 @@ def test_criterion_2_triple_oracle():
         assert table == riordan == egf
         for p in range(1, 6):
             assert brute_count_connected(p) == table[p - 1]
-        assert brute_count_connected(6, expensive=True) == 26704 == table[5]
+        assert brute_count_connected(6) == 26704 == table[5]
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"triple oracle took {elapsed:.1f} s"
 
@@ -154,7 +154,7 @@ def test_criterion_3_regular_rarity():
 def test_criterion_4_bollobas_anchoring():
     with criterion(4, "asymptotic 3-regular count within factor 2 of the exact count at n=6"):
         start = time.perf_counter()
-        exact = brute_count_regular(6, 3)  # exhausts all 32768 graphs
+        exact = brute_count_regular(6)[3]  # exhausts all 32768 graphs
         assert exact == 70
         estimate = bollobas_regular_count_log(6, 3).value
         assert 0.5 <= estimate / exact <= 2.0

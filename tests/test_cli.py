@@ -350,6 +350,16 @@ class TestEnum:
             1, 1, 4, 38, 728, 26704, 1866256, 251548592, 66296291072, 34496488594816
         ]
 
+    def test_failed_table_leaves_no_file(self, tmp_path, capsys):
+        # C_200 has more digits than Python's int-to-str limit allows
+        out = tmp_path / "c.csv"
+        assert cli.main(["enum", "connected", "--pmax", "200", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Exceeds the limit (4300 digits)")
+        assert not out.exists()
+        assert cli.main(["enum", "connected", "--pmax", "200"]) == 1
+        assert capsys.readouterr().err == err
+
     def test_all_table(self, tmp_path):
         out = tmp_path / "a.csv"
         cli.main(["enum", "all", "--pmax", "4", "--out", str(out)])
@@ -428,9 +438,14 @@ class TestVerify:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
-    def test_injected_wrong_constant_fails(self, capsys, monkeypatch):
-        broken = list(cli._KNOWN_CONNECTED_PREFIX)
-        broken[5] += 1
-        monkeypatch.setattr(cli, "_KNOWN_CONNECTED_PREFIX", tuple(broken))
+    @pytest.mark.parametrize("name, wrong, check", [
+        ("_KNOWN_CONNECTED_PREFIX", 26705, "connected counts"),
+        ("_KNOWN_REGULAR_COUNTS", (1, 15, 71, 71, 15, 1), "exhaustive regular counts"),
+    ], ids=["connected", "regular"])
+    def test_injected_wrong_constant_fails(self, capsys, monkeypatch, name, wrong, check):
+        broken = list(getattr(cli, name))
+        broken[5] = wrong
+        monkeypatch.setattr(cli, name, tuple(broken))
         assert cli.main(["verify"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1 and f"FAIL {check}" in out

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from netquench.graphs import (
     parse_edge_list,
     serialize_edge_list,
 )
+from netquench.oracles import brute_count_regular, iter_graph_masks
 
 
 class TestParse:
@@ -215,6 +217,16 @@ class TestRandomRegular:
     def test_restart_budget_exhaustion(self):
         with pytest.raises(GenerationError, match="restarts"):
             generate_random_regular(10, 3, seed=0, max_restarts=0)
+
+    def test_uniform_over_the_cubic_graphs_on_six_vertices(self):
+        cubic = {tuple(m.edges()) for m in iter_graph_masks(6) if m.degree_sequence() == (3,) * 6}
+        assert len(cubic) == brute_count_regular(6)[3] == 70
+        samples = 3500
+        seen = Counter(generate_random_regular(6, 3, seed=s).edges for s in range(samples))
+        assert set(seen) == cubic
+        expected = samples / len(cubic)
+        chi2 = sum((k - expected) ** 2 / expected for k in seen.values())
+        assert chi2 < 111.06  # the 0.999 quantile of chi-square with 69 degrees of freedom
 
 
 class TestBarabasiAlbert:

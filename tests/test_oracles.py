@@ -42,6 +42,11 @@ class TestGraphMask:
     def test_mask_count(self):
         assert sum(1 for _ in iter_graph_masks(3)) == 8
 
+    def test_degree_sequence_matches_the_csr_graph(self):
+        for p in range(6):
+            for m in iter_graph_masks(p):
+                assert m.degree_sequence() == m.to_graph().degree_sequence()
+
 
 class TestBruteConnected:
     def test_small_orders(self):
@@ -56,27 +61,26 @@ class TestBruteConnected:
     def test_cap_guard(self):
         with pytest.raises(ValueError, match="capped"):
             brute_count_connected(7)
-        with pytest.raises(ValueError, match="capped"):
-            brute_count_connected(8, expensive=True)
 
 
 class TestBruteRegular:
+    # counts[r] for r = 0..n-1, n = 1..6 (K_n, perfect matchings and cycles
+    # checked by hand; the 70 cubic graphs on 6 vertices are OEIS A002829)
+    TABLE = [[1], [1, 1], [1, 0, 1], [1, 3, 3, 1], [1, 0, 12, 0, 1], [1, 15, 70, 70, 15, 1]]
+
     def test_known_counts(self):
-        assert brute_count_regular(4, 3) == 1  # K4 only
-        assert brute_count_regular(6, 3) == 70  # pinned from the first verified run
-        assert brute_count_regular(6, 5) == 1  # K6 only
+        assert [brute_count_regular(n) for n in range(1, 7)] == self.TABLE
 
     def test_complement_symmetry(self):
-        for n in range(2, 7):
-            for r in range(n):
-                if (n * r) % 2 == 0:
-                    assert brute_count_regular(n, r) == brute_count_regular(n, n - 1 - r)
+        for n in range(1, 7):
+            counts = brute_count_regular(n)
+            assert counts == counts[::-1]
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="parity"):
-            brute_count_regular(5, 3)
+    def test_cap_guard(self):
         with pytest.raises(ValueError, match="capped"):
-            brute_count_regular(8, 3)
+            brute_count_regular(0)
+        with pytest.raises(ValueError, match="capped"):
+            brute_count_regular(7)
 
 
 class TestDenseSpectralRadius:

@@ -130,3 +130,4 @@ def test_write_csv_empty_block_writes_the_header(tmp_path, blocks):
 def test_write_csv_rejects_a_block_that_does_not_fit(tmp_path, block):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", "a,b", [block])
+    assert not (tmp_path / "t.csv").exists()  # no partial table is left
