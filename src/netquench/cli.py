@@ -7,6 +7,10 @@ timestamp header line so repeated runs are byte-identical.  Exit code 0
 means every requested computation converged and validated; a sigma(H)
 solve that runs out of iterations ends analyze, control and simulate with
 ``error: ...`` and exit code 1 before they write any output.
+
+Only ``enumeration`` and ``textio`` load with this module; each command
+imports the rest when it runs, so ``--help`` and ``enum`` start without
+numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ import math
 import random
 import sys
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import control, dynamics, enumeration, graphs, oracles
+from . import enumeration
 from .textio import open_output, read_node_table, write_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Connected-count prefix (orders 1..11) pinned for the self-check.
 _KNOWN_CONNECTED_PREFIX = (
@@ -64,6 +70,10 @@ def _p0_field(spec: str, convert, text: str):
 def parse_p0_spec(spec: str, n: int) -> np.ndarray:
     """Initial condition: ``uniform:<v>``, ``single:<node>:<v>``, or a CSV
     path with header ``node,p`` (each node at most once, unlisted ones 0)."""
+    import numpy as np
+
+    from . import dynamics
+
     if spec.startswith("uniform:"):
         v = _p0_field(spec, float, spec.split(":", 1)[1])
         return dynamics.as_state(np.full(n, v), n)
@@ -84,6 +94,8 @@ def cmd_generate(args) -> int:
     for flag in _GENERATE_FLAGS.get(args.kind, ()):
         if getattr(args, flag) is None:
             raise ValueError(f"generate {args.kind} needs --{flag}")
+    from . import graphs
+
     if args.kind == "ring":
         g = graphs.generate_ring(args.n)
     elif args.kind == "regular":
@@ -100,6 +112,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import control, dynamics, graphs
+
     g = graphs.read_graph(args.graph)
     params = dynamics.load_params(args.params)
     report = control.select_nodes(g, params)
@@ -127,10 +141,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_control(args) -> int:
+    from . import control, dynamics, graphs
+
     g = graphs.read_graph(args.graph)
     params = dynamics.load_params(args.params)
     report = control.select_nodes(g, params)
-    tuned = control.tune_betas(g, params, report, kappa=args.kappa)
+    kappa = control.DEFAULT_SAFETY if args.kappa is None else args.kappa
+    tuned = control.tune_betas(g, params, report, kappa=kappa)
     est = dynamics.spectral_radius(g, tuned)
     stamp = _timestamp_comment(args.reproducible)
     dynamics.save_params(tuned, args.params_out, header_comment=stamp)
@@ -141,6 +158,8 @@ def cmd_control(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics, graphs
+
     g = graphs.read_graph(args.graph)
     params = dynamics.load_params(args.params)
     p0 = parse_p0_spec(args.p0, g.n)
@@ -185,7 +204,7 @@ def cmd_enum(args) -> int:
             header, cols = "n,ln_labeled,ln_unlabeled", (ns, ln_l, ln_u)
     elif args.table == "catalan":
         ns = range(2, args.nmax + 1)
-        exact = [enumeration.catalan_coefficient(n) for n in ns]
+        exact = enumeration.catalan_column(args.nmax)[1:]
         asym = [enumeration.catalan_asymptotic_log(n).ln for n in ns]
         ratio = [math.exp(math.log(e) - a) for e, a in zip(exact, asym)]
         header, cols = "n,f_n,ln_asymptotic,ratio", (ns, exact, asym, ratio)
@@ -199,6 +218,10 @@ def cmd_enum(args) -> int:
 
 
 def _verify_checks(expensive: bool):
+    import numpy as np
+
+    from . import dynamics, graphs, oracles
+
     def check_connected_routes():
         pmax = 16
         table = enumeration.connected_labeled_table(pmax)
@@ -222,8 +245,9 @@ def _verify_checks(expensive: bool):
         return rows == _KNOWN_REGULAR_COUNTS and all(row == row[::-1] for row in rows)
 
     def check_catalan():
+        column = enumeration.catalan_column(14)
         return all(
-            oracles.brute_catalan(n) == enumeration.catalan_coefficient(n)
+            oracles.brute_catalan(n) == enumeration.catalan_coefficient(n) == column[n - 1]
             for n in range(1, 15)
         )
 
@@ -298,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ctl = sub.add_parser("control", help="tune beta on flagged nodes")
     p_ctl.add_argument("--graph", required=True)
     p_ctl.add_argument("--params", required=True)
-    p_ctl.add_argument("--kappa", type=float, default=control.DEFAULT_SAFETY)
+    p_ctl.add_argument("--kappa", type=float, default=None)  # None: control.DEFAULT_SAFETY
     p_ctl.add_argument("--params-out", required=True)
     p_ctl.add_argument("--plan-out", required=True)
     p_ctl.add_argument("--reproducible", action="store_true")
@@ -336,13 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported_errors() -> tuple[type[BaseException], ...]:
+    """What main reports as ``error: ...``.  ConvergenceError and
+    GenerationError are named only once their modules are loaded: before
+    that neither can have been raised, and importing them would load numpy."""
+    errors = [ValueError, ArithmeticError, OSError]
+    for module, name in (("dynamics", "ConvergenceError"), ("graphs", "GenerationError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, dynamics.ConvergenceError,
-            graphs.GenerationError, OSError) as exc:
+    except _reported_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

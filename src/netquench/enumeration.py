@@ -174,6 +174,18 @@ def catalan_coefficient(n: int) -> BigCount:
     return q
 
 
+def catalan_column(nmax: int) -> list[BigCount]:
+    """[f_1, ..., f_nmax] (empty when nmax < 1) in one pass of the exact
+    ratio f_n = f_{n-1} * 2(2n-3) / n; catalan_coefficient is its referee."""
+    column = [1] if nmax >= 1 else []
+    for n in range(2, nmax + 1):
+        q, rem = divmod(column[-1] * 2 * (2 * n - 3), n)
+        if rem:
+            raise ArithmeticError(f"Catalan ratio step to {n} left remainder {rem}")
+        column.append(q)
+    return column
+
+
 def catalan_asymptotic_log(n: int) -> LogValue:
     """ln of the growth form 4^n * (1/4) (pi n^3)^(-1/2): exponential factor
     A^n with A = 4 times the subexponential square-root correction."""

@@ -12,9 +12,10 @@ import contextlib
 import os
 import sys
 from itertools import chain, islice
-from typing import Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Rows write_csv formats with one ``%`` and one write: enough to spread the
 # per-call cost, few enough to bound the text held at once.
@@ -35,6 +36,8 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
     """Read the CSV ``node,<columns>`` at ``path`` into an ``(n, len(columns))``
     float array whose row ``i`` is node ``i`` (0 if unlisted).  Node ids lie
     in ``0..n-1``, each at most once; ``n`` defaults to the row count."""
+    import numpy as np  # here, so that the enum commands start without numpy
+
     header = ["node", *columns]
     linenos: list[int] = []
     ids: list[int] = []
@@ -87,8 +90,9 @@ def open_output(path) -> Iterator[TextIO]:
 def write_csv(path, header: str, blocks: Iterable[tuple], comment: str | None = None) -> None:
     """Write ``# comment`` (when given), the header line, then the rows of
     each block in turn.  A block is a tuple of equal-length columns (numpy
-    arrays, ranges, lists), one per header field; row ``k`` holds entry ``k``
-    of each column, written with ``%s``.  An empty string is an empty field.
+    arrays, read through their ``tolist``; ranges; lists), one per header
+    field; row ``k`` holds entry ``k`` of each column, written with ``%s``.
+    An empty string is an empty field.
     Rows are formatted CSV_CHUNK at a time, by one ``%`` per chunk."""
     width = len(header.split(","))
     row = ",".join(["%s"] * width) + "\n"
@@ -97,7 +101,7 @@ def write_csv(path, header: str, blocks: Iterable[tuple], comment: str | None = 
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
         for block in blocks:
-            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            columns = [c.tolist() if hasattr(c, "tolist") else c for c in block]
             if len(columns) != width:
                 raise ValueError(f"{len(columns)} columns for the {width} fields of {header!r}")
             values = chain.from_iterable(zip(*columns, strict=True))

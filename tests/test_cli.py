@@ -5,7 +5,7 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from netquench import cli, dynamics
+from netquench import cli, dynamics, enumeration, graphs
 from netquench.dynamics import NodeParams, load_params, save_params
 from netquench.graphs import Graph, generate_random_regular, generate_ring, read_graph, write_graph
 
@@ -65,6 +65,27 @@ class TestGenerate:
             cli.main(["generate", "regular", "--n", "12", "--r", "3",
                       "--seed", "5", "--out", str(out), "--reproducible"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_exhausted_restarts_are_an_error(self, tmp_path, capsys, monkeypatch):
+        generate = graphs.generate_random_regular
+        monkeypatch.setattr(graphs, "generate_random_regular",
+                            lambda n, r, seed: generate(n, r, seed, max_restarts=0))
+        out = tmp_path / "g.edges"
+        code = cli.main(["generate", "regular", "--n", "12", "--r", "3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: pairing model failed for n=12, r=3 after 0 restarts\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("boom"), TypeError("boom")],
+                             ids=["RuntimeError", "KeyError", "TypeError"])
+    def test_errors_outside_the_contract_propagate(self, tmp_path, monkeypatch, exc):
+        def fail(n):
+            raise exc
+
+        monkeypatch.setattr(graphs, "generate_ring", fail)
+        with pytest.raises(type(exc)):
+            cli.main(["generate", "ring", "--n", "6", "--out", str(tmp_path / "g.edges")])
 
 
 class TestAnalyze:
@@ -437,6 +458,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_catalan_check_referees_the_column(self, capsys, monkeypatch):
+        column = enumeration.catalan_column
+        monkeypatch.setattr(enumeration, "catalan_column",
+                            lambda nmax: [*column(nmax)[:-1], column(nmax)[-1] + 1])
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1
+        assert "FAIL Catalan formula matches the lattice-path count" in out
 
     @pytest.mark.parametrize("name, wrong, check", [
         ("_KNOWN_CONNECTED_PREFIX", 26705, "connected counts"),

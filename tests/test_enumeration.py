@@ -11,6 +11,7 @@ from netquench.enumeration import (
     bollobas_regular_count_log,
     catalan_asymptotic_log,
     catalan_coefficient,
+    catalan_column,
     connected_labeled_egf_log,
     connected_labeled_harary,
     connected_labeled_riordan,
@@ -163,6 +164,15 @@ class TestCatalan:
 
     def test_asymptotic_well_defined(self):
         assert math.isfinite(catalan_asymptotic_log(5).ln)
+
+    def test_column_matches_closed_form(self):
+        column = catalan_column(2000)
+        assert len(column) == 2000
+        assert all(column[n - 1] == catalan_coefficient(n) for n in range(1, 2001))
+
+    @pytest.mark.parametrize("nmax", [0, -3])
+    def test_column_below_one_is_empty(self, nmax):
+        assert catalan_column(nmax) == []
 
     def test_ratio_converges(self):
         def ratio(n):
