@@ -251,16 +251,34 @@ def _verify_checks(expensive: bool):
             for n in range(1, 15)
         )
 
-    def check_lanczos_vs_dense():
-        rng = random.Random(20260809)
+    def random_instances(rng):
+        """20 seeded ER graphs of order 2..10 with random params."""
         for _ in range(20):
             n = rng.randint(2, 10)
             g = graphs.generate_erdos_renyi(n, 0.5, rng.randrange(1 << 30))
-            params = dynamics.NodeParams(
+            yield g, dynamics.NodeParams(
                 np.array([rng.uniform(0.05, 1.0) for _ in range(n)]),
                 np.array([rng.uniform(0.01, 1.0) for _ in range(n)]),
                 np.array([rng.uniform(0.1, 1.0) for _ in range(n)]),
             )
+
+    def check_sis_step():
+        # zeta_i against the plain product, and 1 - zeta_i against its
+        # linear bound beta_i r_i sum_{j~i} p_j, which sigma(H) rests on
+        rng = random.Random(20261018)
+        for g, params in random_instances(rng):
+            p = np.array([rng.random() for _ in range(g.n)])
+            zeta = dynamics.zeta_vector(g, params, p)
+            for i in range(g.n):
+                ref = oracles.non_infection_probability(g, params, p, i)
+                neighbors = g.indices[g.indptr[i] : g.indptr[i + 1]]
+                rhs = params.beta[i] * params.r[i] * p[neighbors].sum()
+                if abs(zeta[i] - ref) > 1e-12 * ref or 1.0 - zeta[i] > rhs + 1e-12 * max(1.0, rhs):
+                    return False
+        return True
+
+    def check_lanczos_vs_dense():
+        for g, params in random_instances(random.Random(20260809)):
             est = dynamics.spectral_radius(g, params, tol=1e-13)
             ref = oracles.dense_spectral_radius(oracles.dense_bound_matrix(g, params))
             if abs(est.sigma - ref) >= 1e-8 or not est.lower - 1e-12 <= ref <= est.upper + 1e-12:
@@ -276,6 +294,8 @@ def _verify_checks(expensive: bool):
         ("exhaustive connectivity counts match the recurrence", check_brute_connected),
         ("exhaustive regular counts and complement symmetry", check_brute_regular),
         ("Catalan formula matches the lattice-path count", check_catalan),
+        ("SIS step: zeta matches the per-node product and obeys the product-vs-sum bound",
+         check_sis_step),
         ("Lanczos matches the dense eigensolver, inside its bracket", check_lanczos_vs_dense),
         ("regular-count asymptotic anchored at the exact (6,3) count", check_regular_asymptotic),
     ]

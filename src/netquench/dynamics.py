@@ -179,17 +179,6 @@ def linear_bound_step(g: Graph, params: NodeParams, x: np.ndarray) -> np.ndarray
     return (1.0 - params.mu) * x + (params.beta * params.r) * _neighbor_sums(g, x)
 
 
-def verify_bound_inequality(
-    g: Graph, params: NodeParams, p: Sequence[float], tol: float = 1e-12
-) -> bool:
-    """Check 1 - zeta_i <= beta_i r_i sum_{j~i} p_j for every node (the
-    product-vs-sum inequality; always true up to roundoff `tol`)."""
-    state = as_state(p, g.n)
-    lhs = 1.0 - zeta_vector(g, params, state)
-    rhs = (params.beta * params.r) * _neighbor_sums(g, state)
-    return bool(np.all(lhs <= rhs + tol * np.maximum(1.0, rhs)))
-
-
 def simulate(
     g: Graph,
     params: NodeParams,
@@ -213,23 +202,23 @@ def simulate(
         raise ValueError("extinct_tol must lie in (0, 1)")
     _check_sizes(g, params)
     p = as_state(p0, g.n)
-    states = [p.copy()]
+    states = [p]  # np.array(states) below copies every state
     peak = float(p.max())
-    if peak < extinct_tol:
-        return Trajectory(np.array(states), VERDICT_EXTINCT, 0)
-    streak = 0
-    for t in range(1, max_steps + 1):
+    verdict = VERDICT_EXTINCT if peak < extinct_tol else VERDICT_UNDECIDED
+    t = streak = 0
+    while verdict == VERDICT_UNDECIDED and t < max_steps:
+        t += 1
         p = sis_step(g, params, p)
         states.append(p)
         new_peak = float(p.max())
-        if new_peak < extinct_tol:
-            return Trajectory(np.array(states), VERDICT_EXTINCT, t)
         rel = abs(new_peak - peak) / max(new_peak, peak)
         streak = streak + 1 if rel < PLATEAU_RTOL else 0
         peak = new_peak
-        if streak >= endemic_window:
-            return Trajectory(np.array(states), VERDICT_ENDEMIC, t)
-    return Trajectory(np.array(states), VERDICT_UNDECIDED, max_steps)
+        if peak < extinct_tol:
+            verdict = VERDICT_EXTINCT
+        elif streak >= endemic_window:
+            verdict = VERDICT_ENDEMIC
+    return Trajectory(np.array(states), verdict, t)
 
 
 def _live_block(g: Graph, params: NodeParams, live: np.ndarray) -> tuple[Graph, NodeParams]:

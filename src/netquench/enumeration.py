@@ -1,16 +1,16 @@
 """Exact and asymptotic graph counting.
 
 Exact counts (labeled graphs, labeled graphs by edge count, connected
-labeled graphs via three independent routes, labelings of a fixed graph,
-Catalan coefficients) are arbitrary-precision integers and never rounded;
-any inexact division aborts with ArithmeticError because it would indicate
-an arithmetic bug, not an approximation.
+labeled graphs via three independent routes, Catalan coefficients) are
+arbitrary-precision integers and never rounded; any inexact division aborts
+with ArithmeticError because it would indicate an arithmetic bug, not an
+approximation.
 
-Asymptotic estimators (Stirling factorials, Catalan growth, pairing-model
-regular/degree-sequence counts, the unlabeled reduction, and the rarity
-ratio of regular graphs among all graphs) live in natural-log space as
-``LogValue``s: the counts overflow floats long before the orders of
-magnitude stop being meaningful.
+Asymptotic estimators (Catalan growth, pairing-model regular/degree-sequence
+counts, the unlabeled reduction) live in natural-log space as ``LogValue``s:
+the counts overflow floats long before the orders of magnitude stop being
+meaningful.  The rarity ratio of regular graphs among all graphs is the
+``enum rarity`` table of the CLI.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 # Exact big-integer count; Python ints are arbitrary precision.
@@ -73,20 +73,6 @@ def count_labeled_graphs_with_edges(p: int, k: int) -> BigCount:
     if not 0 <= k <= comb(p, 2):
         raise ValueError(f"edge count {k} out of range [0, {comb(p, 2)}] for p={p}")
     return comb(comb(p, 2), k)
-
-
-def count_labelings(p: int, s: int) -> BigCount:
-    """p!/s: distinct labelings of a graph of order p whose automorphism
-    group has order s.  s must divide p! or the caller supplied a wrong
-    group order."""
-    if p < 0:
-        raise ValueError(f"order must be nonnegative, got {p}")
-    if s < 1:
-        raise ValueError(f"group order must be >= 1, got {s}")
-    q, rem = divmod(factorial(p), s)
-    if rem:
-        raise ValueError(f"{s} does not divide {p}!; not an automorphism group order")
-    return q
 
 
 def _connected_counts_harary(pmax: int) -> list[BigCount]:
@@ -154,13 +140,6 @@ def _ln_factorial(n: int) -> float:
     if n < 0:
         raise ValueError(f"factorial argument must be nonnegative, got {n}")
     return math.lgamma(n + 1)
-
-
-def stirling_log_factorial(n: int) -> LogValue:
-    """ln of the Stirling approximation sqrt(2 pi n) (n/e)^n."""
-    if n < 1:
-        raise ValueError(f"Stirling approximation needs n >= 1, got {n}")
-    return LogValue(0.5 * math.log(2.0 * math.pi * n) + n * math.log(n) - n)
 
 
 def catalan_coefficient(n: int) -> BigCount:
@@ -268,13 +247,3 @@ def wright_condition_value(n: int, q: float) -> float:
         raise ValueError(f"edge count {q} out of range [0, {cap}] for n={n}")
     return min(q, cap - q) / n - math.log(n) / 2.0
 
-
-def rarity_ratio_log(n: int, r: int) -> float:
-    """ln of (labeled r-regular count) / (all labeled graphs) at order n,
-    for constant r >= 3.  Strictly decreasing in n and diverging to
-    -infinity: regular topologies vanish in probability."""
-    if r < 3:
-        raise ValueError(f"rarity ratio is stated for constant degree >= 3, got {r}")
-    ln_regular = bollobas_regular_count_log(n, r).ln
-    ln_all = comb(n, 2) * math.log(2.0)
-    return ln_regular - ln_all

@@ -19,10 +19,6 @@ from .textio import data_lines, open_output
 # Full-restart budget for the pairing-model regular generator.
 DEFAULT_PAIRING_RESTARTS = 10_000
 
-# Per-vertex degrees; sum is always even and equals twice the edge count.
-DegreeSequence = tuple[int, ...]
-
-
 class GraphParseError(ValueError):
     """Edge-list text could not be parsed; the message carries the line number."""
 
@@ -103,26 +99,6 @@ class Graph:
     def num_edges(self) -> int:
         return self.indices.size // 2
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.n:
-            raise ValueError(f"vertex id out of range: {i}")
-        return tuple(self.indices[self.indptr[i] : self.indptr[i + 1]].tolist())
-
-    def degree(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValueError(f"vertex id out of range: {i}")
-        return int(self.degrees[i])
-
-    def degree_sequence(self) -> DegreeSequence:
-        return tuple(self.degrees.tolist())
-
-    def is_regular(self) -> Optional[int]:
-        """Common degree if every vertex has the same degree, else None."""
-        if self.n == 0:
-            return None
-        d0 = int(self.degrees[0])
-        return d0 if bool(np.all(self.degrees == d0)) else None
-
 
 def _check_pairs(pairs: np.ndarray, n: int) -> int:
     """Index of the first pair (in input order) that is a self-loop or names
@@ -191,11 +167,6 @@ def generate_ring(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"ring needs at least 3 vertices, got {n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def generate_complete(n: int) -> Graph:
-    """Complete graph on n vertices."""
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def generate_random_regular(
@@ -273,23 +244,3 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
-
-
-def connected_component_count(g: Graph) -> int:
-    """Number of maximal connected subgraphs, by breadth-first traversal."""
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
-    seen = [False] * g.n
-    count = 0
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        count += 1
-        queue = [start]
-        seen[start] = True
-        while queue:
-            v = queue.pop()
-            for w in indices[indptr[v] : indptr[v + 1]]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return count

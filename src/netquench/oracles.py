@@ -10,8 +10,6 @@ whole oracle suite cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -26,46 +24,10 @@ CAP_DENSE = 12
 CAP_CATALAN = 14
 
 
-def edge_order(p: int) -> list[tuple[int, int]]:
+def _edge_order(p: int) -> list[tuple[int, int]]:
     """The pinned lexicographic edge ordering (0,1), (0,2), ..., (0,p-1),
     (1,2), ...: bit b of a mask encodes the b-th pair."""
     return [(i, j) for i in range(p) for j in range(i + 1, p)]
-
-
-@dataclass(frozen=True)
-class GraphMask:
-    """A labeled graph on p vertices packed into the bits of an integer
-    under the pinned edge ordering."""
-
-    p: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError(f"order must be nonnegative, got {self.p}")
-        if not 0 <= self.bits < (1 << comb(self.p, 2)):
-            raise ValueError(f"bits out of range for p={self.p}: {self.bits}")
-
-    def edges(self) -> list[tuple[int, int]]:
-        order = edge_order(self.p)
-        return [order[b] for b in range(len(order)) if self.bits >> b & 1]
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(_mask_degrees(self.p, self.bits, edge_order(self.p)))
-
-    def is_connected(self) -> bool:
-        """One component spanning all p vertices (isolated vertices count
-        against connectivity)."""
-        return _mask_components(self.p, self.bits, edge_order(self.p)) == 1
-
-    def to_graph(self) -> Graph:
-        return Graph(self.p, self.edges())
-
-
-def iter_graph_masks(p: int):
-    """All 2^C(p,2) labeled graphs on p vertices, as GraphMask values."""
-    for bits in range(1 << comb(p, 2)):
-        yield GraphMask(p, bits)
 
 
 def _mask_components(p: int, bits: int, order: list[tuple[int, int]]) -> int:
@@ -108,7 +70,7 @@ def brute_count_connected(p: int) -> BigCount:
     """Count connected labeled graphs on p vertices by trying every mask."""
     if p < 1 or p > CAP_CONNECTED:
         raise ValueError(f"exhaustive connectivity count capped at p <= {CAP_CONNECTED}, got {p}")
-    order = edge_order(p)
+    order = _edge_order(p)
     return sum(
         1 for bits in range(1 << len(order)) if _mask_components(p, bits, order) == 1
     )
@@ -119,7 +81,7 @@ def brute_count_regular(n: int) -> list[BigCount]:
     for r = 0..n-1, by one pass over every mask (0 where n*r is odd)."""
     if n < 1 or n > CAP_REGULAR:
         raise ValueError(f"exhaustive regularity count capped at n <= {CAP_REGULAR}, got {n}")
-    order = edge_order(n)
+    order = _edge_order(n)
     counts = [0] * n
     for bits in range(1 << len(order)):
         deg = _mask_degrees(n, bits, order)
@@ -198,10 +160,9 @@ def non_infection_probability(
     """zeta_i for a single node, as the plain product over its neighbors j
     of (1 - beta_i r_i p_j); the reference for dynamics.zeta_vector."""
     state = as_state(p, g.n)
-    neighbors = g.neighbors(i)
     w = float(params.beta[i] * params.r[i])
     out = 1.0
-    for j in neighbors:
+    for j in g.indices[g.indptr[i] : g.indptr[i + 1]]:
         out *= 1.0 - w * state[j]
     return out
 

@@ -468,6 +468,15 @@ class TestVerify:
         assert out.count("FAIL") == 1
         assert "FAIL Catalan formula matches the lattice-path count" in out
 
+    def test_sis_step_check_referees_zeta(self, capsys, monkeypatch):
+        zeta = dynamics.zeta_vector
+        monkeypatch.setattr(dynamics, "zeta_vector",
+                            lambda g, params, p: zeta(g, params, p) * (1 - 1e-6))
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1
+        assert "FAIL SIS step: zeta matches the per-node product" in out
+
     @pytest.mark.parametrize("name, wrong, check", [
         ("_KNOWN_CONNECTED_PREFIX", 26705, "connected counts"),
         ("_KNOWN_REGULAR_COUNTS", (1, 15, 71, 71, 15, 1), "exhaustive regular counts"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -16,14 +17,12 @@ from netquench.dynamics import (
     simulate,
     sis_step,
     spectral_radius,
-    verify_bound_inequality,
     write_trajectory_csv,
     zeta_vector,
 )
 from netquench.graphs import (
     Graph,
     generate_barabasi_albert,
-    generate_complete,
     generate_erdos_renyi,
     generate_ring,
 )
@@ -195,6 +194,8 @@ class TestSimulate:
         p0 = np.full(6, 0.3)
         traj = simulate(g, params, p0)
         assert np.array_equal(traj.states[0], p0)
+        p0[0] = 0.9  # the trajectory holds a copy of the start
+        assert traj.states[0, 0] == 0.3
         assert traj.states.shape[0] == traj.steps_to_verdict + 1
         assert np.all(traj.states >= 0) and np.all(traj.states <= 1)
 
@@ -225,7 +226,7 @@ class TestLinearBound:
         assert np.allclose(linear_bound_step(g, params, x), [0.9, 0.5, 0.1])
 
     def test_triangle_hand_product(self):
-        g = generate_complete(3)
+        g = Graph(3, itertools.combinations(range(3), 2))
         params = NodeParams.homogeneous(3, 0.5, 0.5, 1.0)
         out = linear_bound_step(g, params, np.ones(3))
         assert np.allclose(out, [1.5, 1.5, 1.5])
@@ -246,22 +247,30 @@ class TestLinearBound:
 
 
 class TestBoundInequality:
+    """1 - zeta_i <= beta_i r_i sum_{j~i} p_j, the product-vs-sum bound
+    behind H; ``verify`` checks it too."""
+
     def test_zero_state(self):
         g = generate_ring(5)
         params = NodeParams.homogeneous(5, 0.5, 0.5, 0.5)
-        assert verify_bound_inequality(g, params, np.zeros(5))
+        assert np.array_equal(zeta_vector(g, params, np.zeros(5)), np.ones(5))
 
     def test_random_states(self):
         rng = random.Random(13)
         for _ in range(100):
             g, params = random_instance(rng)
             p = np.array([rng.random() for _ in range(g.n)])
-            assert verify_bound_inequality(g, params, p)
+            lhs = 1.0 - zeta_vector(g, params, p)
+            sums = [p[g.indices[g.indptr[i] : g.indptr[i + 1]]].sum() for i in range(g.n)]
+            rhs = params.beta * params.r * np.array(sums)
+            assert np.all(lhs <= rhs + 1e-12 * np.maximum(1.0, rhs))
 
     def test_single_neighbor_equality(self):
         g = Graph(2, [(0, 1)])
         params = NodeParams.homogeneous(2, 0.5, 0.6, 0.7)
-        assert verify_bound_inequality(g, params, np.array([0.35, 0.8]))
+        p = np.array([0.35, 0.8])
+        lhs = 1.0 - zeta_vector(g, params, p)
+        assert lhs == pytest.approx(0.6 * 0.7 * p[::-1], rel=1e-12)
 
 
 class TestSpectralRadius:
@@ -404,6 +413,21 @@ class TestThresholdCheck:
         assert verdict(0.99, 0.98, 1.0 - 1e-6) == "marginal"
         assert verdict(1.01, 1.0 + 1e-6, 1.02) == "marginal"
         assert verdict(0.99, 0.98, 1.02) == "marginal"
+
+    def test_near_threshold_ba_verdicts(self):
+        # H = 0.5 I + beta A has sigma = 0.5 + beta sigma(A) = target; power
+        # iteration once read 1.00000000003 at a true 0.99999999999 here
+        g = generate_barabasi_albert(20_000, 3, 2, seed=7)
+        adjacency = spectral_radius(g, NodeParams.homogeneous(g.n, 1.0, 1.0, 1.0))
+        lam, width = adjacency.sigma, adjacency.upper - adjacency.lower
+        assert lam == pytest.approx(21.4954156053, abs=1e-9) and width < 1e-10
+        cases = [(1 - 1e-11, "marginal"), (1 + 1e-11, "marginal"),
+                 (1 - 2e-6, "stable"), (1 + 2e-6, "unstable")]
+        for target, verdict in cases:
+            beta = (target - 0.5) / lam
+            est = spectral_radius(g, NodeParams.homogeneous(g.n, 0.5, beta, 1.0))
+            assert est.verdict == verdict, target
+            assert est.lower - beta * width <= target <= est.upper + beta * width, target
 
     def test_classify_sigma_band(self):
         assert classify_sigma(1.0 - 2e-6) == "stable"

@@ -1,9 +1,11 @@
+import csv
 import math
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from netquench import cli
 from netquench.enumeration import (
     _egf_log,
     _ln_factorial,
@@ -18,9 +20,6 @@ from netquench.enumeration import (
     connected_labeled_table,
     count_all_labeled_graphs,
     count_labeled_graphs_with_edges,
-    count_labelings,
-    rarity_ratio_log,
-    stirling_log_factorial,
     unlabeled_regular_count_log,
     wright_condition_value,
 )
@@ -55,15 +54,6 @@ class TestBasicCounts:
         assert sum(count_labeled_graphs_with_edges(4, k) for k in range(7)) == 64
         with pytest.raises(ValueError):
             count_labeled_graphs_with_edges(4, 7)
-
-    def test_labelings(self):
-        assert count_labelings(3, 6) == 1  # triangle
-        assert count_labelings(3, 2) == 3  # path on 3 vertices
-        assert count_labelings(4, 1) == 24
-        with pytest.raises(ValueError):
-            count_labelings(3, 4)
-        with pytest.raises(ValueError):
-            count_labelings(3, 0)
 
 
 class TestConnectedCounts:
@@ -112,28 +102,6 @@ class TestEgfSeries:
         assert len(out) == 3
         assert out[1] == Fraction(1, 2)
         assert out[2] == Fraction(1, 3) - Fraction(1, 4)
-
-
-class TestStirling:
-    def test_ten_factorial(self):
-        approx = math.exp(stirling_log_factorial(10).ln)
-        assert abs(approx - 3628800) / 3628800 < 0.01
-
-    def test_n_equals_one(self):
-        assert stirling_log_factorial(1).ln == pytest.approx(
-            0.5 * math.log(2 * math.pi) - 1.0
-        )
-        with pytest.raises(ValueError):
-            stirling_log_factorial(0)
-
-    def test_ratio_monotone_to_one(self):
-        ratios = [
-            math.exp(stirling_log_factorial(n).ln - math.log(math.factorial(n)))
-            for n in range(1, 171)
-        ]
-        assert all(a < b for a, b in zip(ratios, ratios[1:]))
-        assert ratios[-1] < 1.0
-        assert ratios[-1] > 0.9995
 
 
 class TestLnFactorial:
@@ -280,19 +248,31 @@ class TestWright:
         assert sparse[-1] < -1.0
 
 
-class TestRarity:
-    def test_small_ratio_by_ten(self):
-        assert rarity_ratio_log(10, 3) < math.log(1e-6)
+def rarity_column(tmp_path, r):
+    """{n: ln_ratio} from the ``enum rarity`` table at degree r, n <= 60."""
+    out = tmp_path / f"rarity{r}.csv"
+    assert cli.main(["enum", "rarity", "--degree", str(r), "--nmax", "60",
+                     "--out", str(out), "--reproducible"]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["n", "ln_L", "ln_G", "ln_ratio"]
+    return {int(n): float(ratio) for n, _, _, ratio in rows}
 
-    def test_strictly_decreasing(self):
-        values = [rarity_ratio_log(n, 3) for n in range(4, 61, 2)]
+
+class TestRarity:
+    def test_small_ratio_by_ten(self, tmp_path):
+        assert rarity_column(tmp_path, 3)[10] < math.log(1e-6)
+
+    def test_strictly_decreasing(self, tmp_path):
+        column = rarity_column(tmp_path, 3)
+        assert list(column) == list(range(4, 61, 2))
+        values = list(column.values())
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_not_yet_rare_at_four(self):
-        assert math.log(1e-3) < rarity_ratio_log(4, 3) < math.log(1e-1)
+    def test_not_yet_rare_at_four(self, tmp_path):
+        assert math.log(1e-3) < rarity_column(tmp_path, 3)[4] < math.log(1e-1)
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="parity"):
-            rarity_ratio_log(9, 3)
-        with pytest.raises(ValueError):
-            rarity_ratio_log(10, 2)
+    def test_validation(self, tmp_path, capsys):
+        assert 9 not in rarity_column(tmp_path, 3)  # n * r odd: no row
+        assert cli.main(["enum", "rarity", "--degree", "0", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "degree must be >= 1" in capsys.readouterr().err
