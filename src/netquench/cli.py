@@ -21,10 +21,11 @@ import math
 import random
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from . import enumeration
-from .textio import open_output, read_node_table, write_csv
+from .textio import csv_writer, open_output, read_node_table, write_csv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,21 +161,22 @@ def cmd_control(args) -> int:
 def cmd_simulate(args) -> int:
     from . import dynamics, graphs
 
+    dynamics.check_simulate_args(args.max_steps, args.tol, args.endemic_window)
     g = graphs.read_graph(args.graph)
     params = dynamics.load_params(args.params)
     p0 = parse_p0_spec(args.p0, g.n)
     est = dynamics.spectral_radius(g, params)
-    traj = dynamics.simulate(
-        g,
-        params,
-        p0,
-        max_steps=args.max_steps,
-        extinct_tol=args.tol,
-        endemic_window=args.endemic_window,
-    )
-    dynamics.write_trajectory_csv(
-        traj, args.out, header_comment=_timestamp_comment(args.reproducible)
-    )
+    n = g.n
+    with csv_writer(args.out, "t,node,p", _timestamp_comment(args.reproducible)) as put:
+        traj = dynamics.simulate(
+            g,
+            params,
+            p0,
+            max_steps=args.max_steps,
+            extinct_tol=args.tol,
+            endemic_window=args.endemic_window,
+            sink=lambda t, p: put((repeat(t, n), range(n), p)),
+        )
     print(f"{traj.verdict},{traj.steps_to_verdict},{est.sigma!r}")
     return 0 if traj.verdict != dynamics.VERDICT_UNDECIDED else 1
 

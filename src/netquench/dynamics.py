@@ -15,15 +15,18 @@ finds sigma(H) by restarted Lanczos on a symmetric matrix similar to H and
 certifies it with a Collatz-Wielandt bracket lower <= sigma(H) <= upper;
 the stable/marginal/unstable verdict is read from that bracket.
 
-All functions are pure; states are plain float arrays in [0, 1]^n.
+simulate iterates the exact map to a verdict holding one state at a time:
+each state goes to a caller's sink (the CLI's writes it as trajectory CSV
+rows) and is then dropped, so a run's memory is O(n + m) whatever its step
+count.  Apart from that sink, all functions are pure; states are plain
+float arrays in [0, 1]^n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,9 +123,10 @@ class SpectralEstimate:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Simulated time series: states[t] is p(t) for t = 0..steps_to_verdict."""
+    """How a simulation ended.  states[0] is the final state
+    p(steps_to_verdict); the states before it went to simulate's sink."""
 
-    states: np.ndarray  # shape (T+1, n)
+    states: np.ndarray  # shape (1, n)
     verdict: str
     steps_to_verdict: int
 
@@ -179,6 +183,17 @@ def linear_bound_step(g: Graph, params: NodeParams, x: np.ndarray) -> np.ndarray
     return (1.0 - params.mu) * x + (params.beta * params.r) * _neighbor_sums(g, x)
 
 
+def check_simulate_args(max_steps: int, extinct_tol: float, endemic_window: int) -> None:
+    """Raise ValueError unless simulate accepts these stopping rules; a
+    caller that opens an output for the run checks them first."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if endemic_window < 1:
+        raise ValueError("endemic_window must be >= 1")
+    if not 0.0 < extinct_tol < 1.0:
+        raise ValueError("extinct_tol must lie in (0, 1)")
+
+
 def simulate(
     g: Graph,
     params: NodeParams,
@@ -186,30 +201,33 @@ def simulate(
     max_steps: int = 10_000,
     extinct_tol: float = 1e-6,
     endemic_window: int = 200,
+    sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> Trajectory:
-    """Iterate sis_step until a verdict.
+    """Iterate sis_step until a verdict, holding only the current state, so
+    that memory stays O(n + m) however many steps run.
+
+    ``sink(t, p)``, when given, is called with each state p(t) in turn, for
+    t = 0..steps_to_verdict.  p(0) is a copy of p0, and no state is written
+    to after it is handed out, so a sink may keep them.
 
     extinct: max_i p_i drops below extinct_tol.
     endemic: the relative change of max_i p_i stays below PLATEAU_RTOL for
     endemic_window consecutive steps while max_i p_i >= extinct_tol.
     undecided: neither happened within max_steps.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if endemic_window < 1:
-        raise ValueError("endemic_window must be >= 1")
-    if not 0.0 < extinct_tol < 1.0:
-        raise ValueError("extinct_tol must lie in (0, 1)")
+    check_simulate_args(max_steps, extinct_tol, endemic_window)
     _check_sizes(g, params)
-    p = as_state(p0, g.n)
-    states = [p]  # np.array(states) below copies every state
+    p = as_state(p0, g.n).copy()
+    if sink is not None:
+        sink(0, p)
     peak = float(p.max())
     verdict = VERDICT_EXTINCT if peak < extinct_tol else VERDICT_UNDECIDED
     t = streak = 0
     while verdict == VERDICT_UNDECIDED and t < max_steps:
         t += 1
         p = sis_step(g, params, p)
-        states.append(p)
+        if sink is not None:
+            sink(t, p)
         new_peak = float(p.max())
         rel = abs(new_peak - peak) / max(new_peak, peak)
         streak = streak + 1 if rel < PLATEAU_RTOL else 0
@@ -218,7 +236,7 @@ def simulate(
             verdict = VERDICT_EXTINCT
         elif streak >= endemic_window:
             verdict = VERDICT_ENDEMIC
-    return Trajectory(np.array(states), verdict, t)
+    return Trajectory(p[np.newaxis], verdict, t)
 
 
 def _live_block(g: Graph, params: NodeParams, live: np.ndarray) -> tuple[Graph, NodeParams]:
@@ -369,9 +387,3 @@ def save_params(params: NodeParams, path, header_comment: str | None = None) -> 
     block = (range(params.n), params.mu, params.beta, params.r)
     write_csv(path, "node,mu,beta,r", [block], header_comment)
 
-
-def write_trajectory_csv(traj: Trajectory, path, header_comment: str | None = None) -> None:
-    """Long-format trajectory: one ``t,node,p`` row per node per recorded step."""
-    n = traj.states.shape[1]
-    blocks = ((repeat(t, n), range(n), state) for t, state in enumerate(traj.states))
-    write_csv(path, "t,node,p", blocks, header_comment)

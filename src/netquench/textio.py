@@ -1,9 +1,11 @@
 """Text I/O shared by every command: one line reader and one node-table
-reader for every input file, one stream opener and one CSV writer.  Every
-CSV written is UTF-8 with ``\\n`` line endings: an optional ``# comment``
-line, the header line, then the data rows.  write_csv is the only code that
-turns numbers into CSV text: ints in decimal, floats as Python's shortest
-round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).
+reader for every input file, one stream opener and one CSV writer, which
+takes rows a block at a time (csv_writer) or a whole table at once
+(write_csv).  Every CSV written is UTF-8 with ``\\n`` line endings: an
+optional ``# comment`` line, the header line, then the data rows.
+csv_writer's ``put`` is the only code that turns numbers into CSV text:
+ints in decimal, floats as Python's shortest round-trip repr (``1e-05``,
+``0.0001``, ``1e+16``, ``5e-324``).
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import contextlib
 import os
 import sys
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Rows write_csv formats with one ``%`` and one write: enough to spread the
+# Rows csv_writer formats with one ``%`` and one write: enough to spread the
 # per-call cost, few enough to bound the text held at once.
 CSV_CHUNK = 256
 
@@ -87,23 +89,38 @@ def open_output(path) -> Iterator[TextIO]:
             raise
 
 
-def write_csv(path, header: str, blocks: Iterable[tuple], comment: str | None = None) -> None:
-    """Write ``# comment`` (when given), the header line, then the rows of
-    each block in turn.  A block is a tuple of equal-length columns (numpy
-    arrays, read through their ``tolist``; ranges; lists), one per header
+@contextlib.contextmanager
+def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callable[[tuple], None]]:
+    """Open ``path`` (see open_output), write ``# comment`` (when given) and
+    the header line, and yield ``put(block)``, which writes the rows of one
+    block.  A block is a tuple of equal-length columns (numpy arrays, read
+    through their ``tolist``; ranges; lists; iterators), one per header
     field; row ``k`` holds entry ``k`` of each column, written with ``%s``.
-    An empty string is an empty field.
-    Rows are formatted CSV_CHUNK at a time, by one ``%`` per chunk."""
+    An empty string is an empty field.  Rows are formatted CSV_CHUNK at a
+    time, by one ``%`` per chunk: a table streamed a block at a time holds
+    one block's columns and one chunk of text.  If the body raises, the
+    file is deleted."""
     width = len(header.split(","))
     row = ",".join(["%s"] * width) + "\n"
     with open_output(path) as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
-        for block in blocks:
+
+        def put(block: tuple) -> None:
             columns = [c.tolist() if hasattr(c, "tolist") else c for c in block]
             if len(columns) != width:
                 raise ValueError(f"{len(columns)} columns for the {width} fields of {header!r}")
             values = chain.from_iterable(zip(*columns, strict=True))
             while chunk := tuple(islice(values, CSV_CHUNK * width)):
                 fh.write((row * (len(chunk) // width)) % chunk)
+
+        yield put
+
+
+def write_csv(path, header: str, blocks: Iterable[tuple], comment: str | None = None) -> None:
+    """Write a whole table: csv_writer's comment and header, then the rows
+    of each block in turn."""
+    with csv_writer(path, header, comment) as put:
+        for block in blocks:
+            put(block)

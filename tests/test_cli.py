@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -270,14 +271,82 @@ class TestSimulate:
     def test_endemic_window_below_one_is_an_error(self, tmp_path, capsys):
         write_graph(generate_ring(10), tmp_path / "g.edges")
         save_params(NodeParams.homogeneous(10, 0.9, 0.01, 1.0), tmp_path / "p.csv")
-        out = tmp_path / "t.csv"
+        out = tmp_path / "missing" / "t.csv"  # opening it would fail otherwise
         code = cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
                          "--params", str(tmp_path / "p.csv"), "--endemic-window", "0",
                          "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err == "error: endemic_window must be >= 1\n"
+        assert captured.out == "" and not out.parent.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-steps", "0"], "max_steps must be >= 1"),
+        (["--tol", "0"], "extinct_tol must lie in (0, 1)"),
+        (["--tol", "1.5"], "extinct_tol must lie in (0, 1)"),
+        (["--tol", "nan"], "extinct_tol must lie in (0, 1)"),
+    ], ids=["max-steps-0", "tol-0", "tol-1.5", "tol-nan"])
+    def test_bad_stopping_rule_fails_before_out_is_opened(self, star9_files, tmp_path, capsys,
+                                                          flags, message):
+        # --out lies in a missing directory: opening it first would fail
+        # with a different error
+        graph_path, params_path = star9_files
+        out = tmp_path / "missing" / "t.csv"
+        code = cli.main(["simulate", "--graph", str(graph_path), "--params", str(params_path),
+                         *flags, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.parent.exists()
+
+    def test_run_failing_part_way_leaves_no_trajectory(self, star9_files, tmp_path, capsys,
+                                                       monkeypatch):
+        step = dynamics.sis_step
+        calls = []
+
+        def failing_step(g, params, p):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("step 3 failed")
+            return step(g, params, p)
+
+        monkeypatch.setattr(dynamics, "sis_step", failing_step)
+        graph_path, params_path = star9_files
+        out = tmp_path / "t.csv"
+        code = cli.main(["simulate", "--graph", str(graph_path), "--params", str(params_path),
+                         "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: step 3 failed\n"
         assert captured.out == "" and not out.exists()
+
+    def test_memory_does_not_grow_with_the_step_count(self, tmp_path, capsys):
+        # an endemic ring whose run is 10x longer at the larger window;
+        # holding its states would cost 8 n bytes for each extra step
+        n = 50
+        write_graph(generate_ring(n), tmp_path / "g.edges")
+        save_params(NodeParams.homogeneous(n, 0.2, 0.3, 0.9), tmp_path / "p.csv")
+
+        def run(window):
+            return cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
+                             "--params", str(tmp_path / "p.csv"), "--p0", "uniform:0.5",
+                             "--endemic-window", str(window), "--out", str(tmp_path / "t.csv")])
+
+        assert run(200) == 0  # first-call imports and caches stay out of the peaks
+        capsys.readouterr()
+        peaks, steps = [], []
+        for window in (200, 2000):
+            tracemalloc.start()
+            try:
+                assert run(window) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            verdict, count, _ = capsys.readouterr().out.strip().split(",")
+            assert verdict == "endemic"
+            steps.append(int(count))
+        assert steps[1] >= 8 * steps[0]
+        assert peaks[1] - peaks[0] < 8 * n * (steps[1] - steps[0]) / 10
 
     def test_single_seed_p0(self, star9_files, tmp_path, capsys):
         graph_path, params_path = star9_files

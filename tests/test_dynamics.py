@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from netquench.dynamics import (
     simulate,
     sis_step,
     spectral_radius,
-    write_trajectory_csv,
     zeta_vector,
 )
 from netquench.graphs import (
@@ -27,6 +27,7 @@ from netquench.graphs import (
     generate_ring,
 )
 from netquench.oracles import dense_bound_matrix, dense_spectral_radius, non_infection_probability
+from netquench.textio import csv_writer
 
 
 STAR9 = Graph(10, [(0, i) for i in range(1, 10)])
@@ -192,23 +193,80 @@ class TestSimulate:
         g = generate_ring(6)
         params = NodeParams.homogeneous(6, 0.5, 0.1, 0.5)
         p0 = np.full(6, 0.3)
-        traj = simulate(g, params, p0)
-        assert np.array_equal(traj.states[0], p0)
-        p0[0] = 0.9  # the trajectory holds a copy of the start
-        assert traj.states[0, 0] == 0.3
-        assert traj.states.shape[0] == traj.steps_to_verdict + 1
-        assert np.all(traj.states >= 0) and np.all(traj.states <= 1)
+        seen = []
+        traj = simulate(g, params, p0, sink=lambda t, p: seen.append((t, p)))
+        times, states = zip(*seen)
+        assert times == tuple(range(traj.steps_to_verdict + 1))
+        assert np.array_equal(states[0], p0)
+        p0[0] = 0.9  # the sink was handed a copy of the start
+        assert states[0][0] == 0.3
+        assert all(np.all(p >= 0) and np.all(p <= 1) for p in states)
+        assert traj.states.shape == (1, 6) and np.array_equal(traj.states[0], states[-1])
 
     def test_csv_output(self, tmp_path):
         g = Graph(2, [(0, 1)])
         params = NodeParams.homogeneous(2, 0.9, 0.0, 0.0)
-        traj = simulate(g, params, np.array([0.5, 0.1]))
         out = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, out)
+        with csv_writer(out, "t,node,p") as put:
+            traj = simulate(g, params, np.array([0.5, 0.1]),
+                            sink=lambda t, p: put((itertools.repeat(t, 2), range(2), p)))
         lines = out.read_text().splitlines()
         assert lines[0] == "t,node,p"
         assert lines[1] == "0,0,0.5"
         assert len(lines) == 1 + 2 * (traj.steps_to_verdict + 1)
+
+    @pytest.mark.parametrize("mu, beta, max_steps, verdict", [
+        (0.5, 0.1, 10_000, "extinct"),  # sigma(H) = 0.5 + 2 * 0.1 * 0.9 = 0.68
+        (0.2, 0.3, 10_000, "endemic"),  # sigma(H) = 1.34
+        (0.2, 0.3, 25, "undecided"),
+    ])
+    def test_streamed_states_match_a_hand_loop(self, mu, beta, max_steps, verdict):
+        g = generate_ring(20)
+        params = NodeParams.homogeneous(20, mu, beta, 0.9)
+        p0 = np.random.default_rng(3).uniform(0.0, 1.0, 20)
+        seen = []
+        traj = simulate(g, params, p0, max_steps=max_steps, sink=lambda t, p: seen.append(p))
+        assert traj.verdict == verdict
+        expected = [p0]
+        for _ in range(traj.steps_to_verdict):
+            expected.append(sis_step(g, params, expected[-1]))
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))  # bit for bit
+        assert np.array_equal(traj.states[0], expected[-1])
+
+    def test_failed_run_leaves_no_trajectory_file(self, tmp_path):
+        g = generate_ring(10)
+        params = NodeParams.homogeneous(10, 0.2, 0.3, 0.9)
+        out = tmp_path / "traj.csv"
+
+        def sink(t, p):
+            put((itertools.repeat(t, 10), range(10), p))
+            if t == 3:
+                raise RuntimeError("sink failed at t = 3")
+
+        with pytest.raises(RuntimeError, match="t = 3"):
+            with csv_writer(out, "t,node,p") as put:
+                simulate(g, params, np.full(10, 0.5), sink=sink)
+        assert not out.exists()
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        # an endemic ring whose run is 10x longer at the larger window;
+        # holding its states would cost 8 n bytes for each extra step
+        n = 50
+        g = generate_ring(n)
+        params = NodeParams.homogeneous(n, 0.2, 0.3, 0.9)
+        peaks, steps = [], []
+        for window in (200, 2000):
+            tracemalloc.start()
+            try:
+                traj = simulate(g, params, np.full(n, 0.5), endemic_window=window)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert traj.verdict == "endemic"
+            steps.append(traj.steps_to_verdict)
+        assert steps[1] >= 8 * steps[0]
+        assert peaks[1] - peaks[0] < 8 * n * (steps[1] - steps[0]) / 10
 
 
 class TestLinearBound:
