@@ -1,6 +1,7 @@
 """Byte pins on every CSV the package writes: one small fixed instance run
-through save_params and the analyze, control and simulate commands, and
-each enum table at small sizes.  A digest changes only when an output
+through save_params and the analyze, control and simulate commands, a
+homogeneous ring simulated from two starts (every state one repeated value;
+runs of exact zeros), and each enum table at small sizes.  A digest changes only when an output
 format changes on purpose."""
 
 import hashlib
@@ -25,6 +26,13 @@ PIPELINE_DIGESTS = {
     "tuned.csv": "bd76d99ed6b444191fe8b60b3bffec16b4dda81693f94f96c5e5c3c92807a00d",
     "plan.csv": "41bf74694bf4d16e1aa5b2d8c2b3310a88248921c1d0b9c5f2d388a1ea090921",
     "trajectory.csv": "688baad01a73c8e4635b9e41a350f403b605907554947c70e18dcd570b8921eb",
+}
+
+# simulate on a homogeneous ring of RING_N nodes (mu = 0.8, beta = 0.3, r = 1)
+RING_N = 300
+RING_DIGESTS = {
+    "uniform:0.25": "ac07ce5e44f423ed0514707e69572b93be4217c4ccb436ed9502ec105c7118f0",
+    "single:0:1": "fcba307357d2d34808a35b23f02468bbd349d8e2bbba3c9b82ab7fc635a6898b",
 }
 
 ENUM_TABLES = {
@@ -102,6 +110,18 @@ def test_pipeline_runs(pipeline):
 def test_pipeline_csv_bytes(pipeline, name):
     d, _ = pipeline
     assert sha256(d / name) == PIPELINE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("p0", sorted(RING_DIGESTS))
+def test_homogeneous_ring_trajectory_bytes(tmp_path, p0):
+    ring = Graph(RING_N, [(i, (i + 1) % RING_N) for i in range(RING_N)])
+    write_graph(ring, tmp_path / "g.edges")
+    save_params(NodeParams.homogeneous(RING_N, 0.8, 0.3, 1.0), tmp_path / "params.csv")
+    out = tmp_path / "trajectory.csv"
+    assert cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
+                     "--params", str(tmp_path / "params.csv"), "--p0", p0,
+                     "--out", str(out), "--reproducible"]) == 0
+    assert sha256(out) == RING_DIGESTS[p0]
 
 
 @pytest.mark.parametrize("name", sorted(ENUM_TABLES))
