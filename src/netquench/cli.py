@@ -6,7 +6,9 @@ deterministic given its flags and seed; ``--reproducible`` suppresses the
 timestamp header line so repeated runs are byte-identical.  Exit code 0
 means every requested computation converged and validated; a sigma(H)
 solve that runs out of iterations ends analyze, control and simulate with
-``error: ...`` and exit code 1 before they write any output.
+``error: ...`` and exit code 1 before they write any output.  A command's
+output files are all-or-nothing: each is opened before any is written, and
+an error in any deletes them all.
 
 Only ``enumeration`` and ``textio`` load with this module; each command
 imports the rest when it runs, so ``--help`` and ``enum`` start without
@@ -16,8 +18,10 @@ numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import random
 import sys
 from datetime import datetime, timezone
@@ -58,6 +62,20 @@ def _timestamp_comment(reproducible: bool) -> str | None:
     if reproducible:
         return None
     return f"generated {datetime.now(timezone.utc).isoformat()}"
+
+
+def _check_distinct_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Raise ValueError if two of a command's ``(flag, path)`` outputs are one
+    file, which both would write at once.  Stdout and an existing device
+    such as /dev/null may be named twice."""
+    seen: dict[str, str] = {}
+    for flag, path in outputs:
+        if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {flag} name the same file {path!r}")
+        seen[real] = flag
 
 
 def _p0_field(spec: str, convert, text: str):
@@ -113,6 +131,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_distinct_outputs(("--out", args.out), ("--report-csv", args.report_csv))
     from . import control, dynamics, graphs
 
     g = graphs.read_graph(args.graph)
@@ -130,18 +149,20 @@ def cmd_analyze(args) -> int:
     }
     if not args.reproducible:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-    with open_output(args.out) as fh:
+    report_out = open_output(args.report_csv) if args.report_csv else contextlib.nullcontext()
+    with open_output(args.out) as fh, report_out as report_fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.report_csv:
-        control.write_selection_report(
-            report, g, params, args.report_csv,
-            header_comment=_timestamp_comment(args.reproducible),
-        )
+        if report_fh is not None:
+            control.write_selection_report(
+                report, g, params, report_fh,
+                header_comment=_timestamp_comment(args.reproducible),
+            )
     return 0
 
 
 def cmd_control(args) -> int:
+    _check_distinct_outputs(("--params-out", args.params_out), ("--plan-out", args.plan_out))
     from . import control, dynamics, graphs
 
     g = graphs.read_graph(args.graph)
@@ -151,8 +172,9 @@ def cmd_control(args) -> int:
     tuned = control.tune_betas(g, params, report, kappa=kappa)
     est = dynamics.spectral_radius(g, tuned)
     stamp = _timestamp_comment(args.reproducible)
-    dynamics.save_params(tuned, args.params_out, header_comment=stamp)
-    control.write_control_plan(report, params, tuned, args.plan_out, header_comment=stamp)
+    with open_output(args.params_out) as params_fh, open_output(args.plan_out) as plan_fh:
+        dynamics.save_params(tuned, params_fh, header_comment=stamp)
+        control.write_control_plan(report, params, tuned, plan_fh, header_comment=stamp)
     stable = est.verdict == "stable"
     print(f"tuned={report.flagged.size} sigma={est.sigma!r} stable={str(stable).lower()}")
     return 0 if stable else 1

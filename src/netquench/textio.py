@@ -5,7 +5,10 @@ takes rows a block at a time (csv_writer) or a whole table at once
 optional ``# comment`` line, the header line, then the data rows.
 csv_writer's ``put`` is the only code that turns numbers into CSV text:
 ints in decimal, floats as Python's shortest round-trip repr (``1e-05``,
-``0.0001``, ``1e+16``, ``5e-324``).
+``0.0001``, ``1e+16``, ``5e-324``).  A float64 array column is formatted
+once per run of equal entries, so its cost scales with the number of runs
+(one per state of a homogeneous simulation) rather than with its length;
+the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 if TYPE_CHECKING:
@@ -74,11 +77,14 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
 
 @contextlib.contextmanager
 def open_output(path) -> Iterator[TextIO]:
-    """A text stream writing to ``path``; ``"-"`` is stdout, which is left open.
-    If the body raises, the file is closed and deleted before the exception
-    propagates; what has already gone to stdout cannot be taken back."""
-    if path == "-":
-        yield sys.stdout
+    """A text stream writing to ``path``; ``"-"`` is stdout, and an open text
+    stream is itself, both left open.  If the body raises, a file opened here
+    is closed and deleted before the exception propagates; what has already
+    gone to stdout cannot be taken back.  Nest one open_output per output to
+    make a command's files all-or-nothing: each is opened before any is
+    written, and an error in any deletes them all."""
+    if path == "-" or hasattr(path, "write"):
+        yield sys.stdout if path == "-" else path
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         try:
@@ -89,6 +95,26 @@ def open_output(path) -> Iterator[TextIO]:
             raise
 
 
+def _column_values(c) -> Iterable:
+    """What ``%s`` formats for column ``c``: a list or iterator as it is, any
+    other array as its ``tolist()``.  A float64 array gives the repr of the
+    first entry of each run of equal entries, repeated over the run; runs
+    compare bit patterns, read as int64 (a uint64 compare would page in
+    64 kB more of numpy), so 0.0 and -0.0 or two NaN payloads never merge.
+    When more than half the entries start a run, it is ``tolist()`` too."""
+    if getattr(c, "dtype", None) != "float64":
+        return c.tolist() if hasattr(c, "tolist") else c
+    import numpy as np
+
+    bits = c.view(np.int64)
+    starts = bits[1:] != bits[:-1]
+    if 2 * (np.count_nonzero(starts) + 1) > c.size:
+        return c.tolist()
+    firsts = np.flatnonzero(np.concatenate(([True], starts)))
+    lengths = np.diff(firsts, append=c.size)
+    return chain.from_iterable(map(repeat, map(repr, c[firsts].tolist()), lengths.tolist()))
+
+
 @contextlib.contextmanager
 def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callable[[tuple], None]]:
     """Open ``path`` (see open_output), write ``# comment`` (when given) and
@@ -96,10 +122,12 @@ def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callab
     block.  A block is a tuple of equal-length columns (numpy arrays, read
     through their ``tolist``; ranges; lists; iterators), one per header
     field; row ``k`` holds entry ``k`` of each column, written with ``%s``.
-    An empty string is an empty field.  Rows are formatted CSV_CHUNK at a
-    time, by one ``%`` per chunk: a table streamed a block at a time holds
-    one block's columns and one chunk of text.  If the body raises, the
-    file is deleted."""
+    A float64 array is formatted once per run of equal entries, so a
+    column of one repeated value costs one ``repr``; the bytes do not
+    depend on it.  An empty string is an empty field.  Rows are formatted
+    CSV_CHUNK at a time, by one ``%`` per chunk: a table streamed a block
+    at a time holds one block's columns and one chunk of text.  If the
+    body raises, the file is deleted."""
     width = len(header.split(","))
     row = ",".join(["%s"] * width) + "\n"
     with open_output(path) as fh:
@@ -108,7 +136,7 @@ def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callab
         fh.write(header + "\n")
 
         def put(block: tuple) -> None:
-            columns = [c.tolist() if hasattr(c, "tolist") else c for c in block]
+            columns = [_column_values(c) for c in block]
             if len(columns) != width:
                 raise ValueError(f"{len(columns)} columns for the {width} fields of {header!r}")
             values = chain.from_iterable(zip(*columns, strict=True))

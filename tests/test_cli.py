@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 from datetime import datetime
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from netquench import cli, dynamics, enumeration, graphs
+from netquench import control as control_module
 from netquench.dynamics import NodeParams, load_params, save_params
 from netquench.graphs import Graph, generate_random_regular, generate_ring, read_graph, write_graph
 
@@ -151,6 +153,29 @@ class TestAnalyze:
         assert float(rows[0][5]) == pytest.approx(0.5 - 1.8)  # center 0.5, radius 1.8
         assert len(rows) == 10
 
+    @pytest.mark.parametrize("out", ["r.json", "-"])
+    def test_unopenable_report_csv_writes_no_json(self, star9_files, tmp_path, capsys, out):
+        # the report CSV lies in a missing directory; the JSON, opened first,
+        # must not stay behind, nor reach stdout
+        graph_path, params_path = star9_files
+        json_out = out if out == "-" else str(tmp_path / out)
+        code = cli.main(["analyze", "--graph", str(graph_path), "--params", str(params_path),
+                         "--out", json_out, "--report-csv", str(tmp_path / "missing" / "sel.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 2]") and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv", "star.edges"]
+
+    def test_one_file_for_json_and_report_is_an_error(self, star9_files, tmp_path, capsys):
+        graph_path, params_path = star9_files
+        out = str(tmp_path / "r.out")
+        code = cli.main(["analyze", "--graph", str(graph_path), "--params", str(params_path),
+                         "--out", out, "--report-csv", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --out and --report-csv name the same file '{out}'\n")
+        assert not (tmp_path / "r.out").exists()
+
 
 class TestControl:
     def test_star_pipeline(self, star9_files, tmp_path, capsys):
@@ -218,6 +243,56 @@ class TestControl:
             assert out.startswith("tuned=12 ")
             assert ("stable=true" if kappa == "0.9" else "stable=false") in out
         assert codes == {"0.9": 0, "0.9999999999999999": 1}
+
+    @pytest.mark.parametrize("failing", ["--params-out", "--plan-out", "write"])
+    def test_failed_output_leaves_no_output(self, star9_files, tmp_path, capsys, monkeypatch,
+                                            failing):
+        # an output in a missing directory, or a plan whose writing fails
+        # after its rows, deletes the other output too
+        write_csv = control_module.write_csv
+
+        def failing_write_csv(path, header, blocks, comment=None):
+            def failing_blocks():
+                yield from blocks
+                raise OSError("plan failed")
+
+            write_csv(path, header, failing_blocks(), comment)
+
+        if failing == "write":
+            monkeypatch.setattr(control_module, "write_csv", failing_write_csv)
+        graph_path, params_path = star9_files
+        outs = {"--params-out": str(tmp_path / "tuned.csv"),
+                "--plan-out": str(tmp_path / "plan.csv")}
+        if failing in outs:
+            outs[failing] = str(tmp_path / "missing" / "out.csv")
+        code = cli.main(["control", "--graph", str(graph_path), "--params", str(params_path),
+                         *[x for flag_path in outs.items() for x in flag_path]])
+        assert code == 1
+        captured = capsys.readouterr()
+        message = "error: [Errno 2]" if failing in outs else "error: plan failed"
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv", "star.edges"]
+
+    @pytest.mark.parametrize("same", ["plan.csv", "./sub/../plan.csv"])
+    def test_one_file_for_both_outputs_is_an_error(self, star9_files, tmp_path, capsys,
+                                                   monkeypatch, same):
+        # both outputs open at once, so one file named twice would be garbled
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        graph_path, params_path = star9_files
+        code = cli.main(["control", "--graph", str(graph_path), "--params", str(params_path),
+                         "--params-out", "plan.csv", "--plan-out", same])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --params-out and --plan-out name the same file '{same}'\n")
+        assert not (tmp_path / "plan.csv").exists()
+
+    def test_devices_may_be_named_twice(self, star9_files, capsys):
+        graph_path, params_path = star9_files
+        assert cli.main(["control", "--graph", str(graph_path), "--params", str(params_path),
+                         "--params-out", os.devnull, "--plan-out", os.devnull]) == 0
+        assert capsys.readouterr().out.startswith("tuned=1 ")
 
 
 class TestSimulate:
@@ -347,6 +422,34 @@ class TestSimulate:
             steps.append(int(count))
         assert steps[1] >= 8 * steps[0]
         assert peaks[1] - peaks[0] < 8 * n * (steps[1] - steps[0]) / 10
+
+    @pytest.mark.parametrize("graph,p0", [("regular", "uniform:0.2"), ("ba", "uniform:0.2"),
+                                          ("regular", "single:0:1")])
+    def test_trajectory_matches_the_collected_states(self, tmp_path, capsys, graph, p0):
+        # the referee for the writer's fast paths: every row of the file
+        # against f"{t},{i},{v!r}" over the states a sink collects, at a
+        # size of many chunks per state
+        n = 2000
+        if graph == "regular":  # homogeneous: every state from uniform:0.2 is one value
+            g = generate_random_regular(n, 3, 1)
+            params = NodeParams.homogeneous(n, 0.8, 0.2, 1.0)
+        else:
+            g = graphs.generate_barabasi_albert(n, 3, 2, 7)
+            rng = np.random.default_rng(7)
+            params = NodeParams(rng.uniform(0.5, 1.0, n), rng.uniform(0.01, 0.1, n),
+                                rng.uniform(0.2, 1.0, n))
+        write_graph(g, tmp_path / "g.edges")
+        save_params(params, tmp_path / "p.csv")
+        out = tmp_path / "t.csv"
+        assert cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
+                         "--params", str(tmp_path / "p.csv"), "--p0", p0,
+                         "--out", str(out), "--reproducible"]) == 0
+        assert capsys.readouterr().out.startswith("extinct,")
+        states = []
+        dynamics.simulate(read_graph(tmp_path / "g.edges"), load_params(tmp_path / "p.csv"),
+                          cli.parse_p0_spec(p0, n), sink=lambda t, p: states.append(p))
+        rows = (f"{t},{i},{v!r}\n" for t, p in enumerate(states) for i, v in enumerate(p.tolist()))
+        assert out.read_text() == "t,node,p\n" + "".join(rows)
 
     def test_single_seed_p0(self, star9_files, tmp_path, capsys):
         graph_path, params_path = star9_files

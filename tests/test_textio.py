@@ -1,6 +1,6 @@
 """The shared input rules: every reader skips blank and ``#`` lines (indented
 ones too) and names the line of a malformed row; and the one CSV writer's
-number format."""
+number format, on its per-entry path and its run-of-equal-floats path."""
 
 from itertools import repeat
 
@@ -10,7 +10,7 @@ import pytest
 from netquench.cli import parse_p0_spec
 from netquench.dynamics import load_params
 from netquench.graphs import read_graph
-from netquench.textio import CSV_CHUNK, data_lines, write_csv
+from netquench.textio import CSV_CHUNK, _column_values, data_lines, write_csv
 
 # per format: the header (or vertex count) line and one valid row for node 0
 FORMATS = {
@@ -131,3 +131,51 @@ def test_write_csv_rejects_a_block_that_does_not_fit(tmp_path, block):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", "a,b", [block])
     assert not (tmp_path / "t.csv").exists()  # no partial table is left
+
+
+def float_column_lines(tmp_path, col):
+    """The data lines write_csv gives the one-column table of ``col``."""
+    out = tmp_path / "x.csv"
+    write_csv(out, "x", [(col,)])
+    lines = out.read_text().split("\n")
+    assert lines[0] == "x" and lines[-1] == ""
+    return lines[1:-1]
+
+
+def column_with_runs(runs, n, seed=0):
+    """A float64 column of ``n`` entries in ``runs`` runs of distinct values."""
+    rng = np.random.default_rng(seed)
+    values = rng.random(runs) * 10.0 ** rng.integers(-20, 20, runs)
+    cuts = np.sort(rng.choice(np.arange(1, n), runs - 1, replace=False))
+    return np.repeat(values, np.diff(cuts, prepend=0, append=n))
+
+
+def test_float_runs_write_each_value(tmp_path):
+    # signed zeros side by side, non-finite values, the least subnormal, and
+    # a run that starts inside the first chunk and ends inside the second
+    long = CSV_CHUNK + 10
+    col = np.concatenate([
+        np.zeros(3), np.full(4, -0.0), np.zeros(2), np.full(3, np.inf), np.full(3, np.nan),
+        np.full(2, -np.inf), np.full(5, 5e-324), np.full(long, 0.1), np.full(3, -0.0),
+    ])
+    assert not isinstance(_column_values(col), list)  # the run path
+    assert float_column_lines(tmp_path, col) == ["%s" % v for v in col.tolist()]
+    assert float_column_lines(tmp_path, col)[3:9] == ["-0.0"] * 4 + ["0.0"] * 2
+
+
+def test_float_runs_of_strided_and_read_only_columns(tmp_path):
+    table = np.repeat(column_with_runs(6, 40), 3).reshape(40, 3)
+    table[:, 1] *= -1.0
+    strided = table[:, 1]
+    frozen = table[:, 2].copy()
+    frozen.setflags(write=False)
+    for col in (strided, frozen):
+        assert float_column_lines(tmp_path, col) == ["%s" % v for v in col.tolist()]
+
+
+@pytest.mark.parametrize("runs", [19, 20, 21])
+def test_float_runs_near_half_the_entries(tmp_path, runs):
+    # more than half the entries starting a run: formatted one by one
+    col = column_with_runs(runs, 40, seed=runs)
+    assert isinstance(_column_values(col), list) == (runs > 20)
+    assert float_column_lines(tmp_path, col) == ["%s" % v for v in col.tolist()]
