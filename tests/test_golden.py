@@ -1,7 +1,8 @@
-"""Byte pins on every CSV the package writes: one small fixed instance run
+"""Byte pins on every file the package writes: one small fixed instance run
 through save_params and the analyze, control and simulate commands, a
 homogeneous ring simulated from two starts (every state one repeated value;
-runs of exact zeros), and each enum table at small sizes.  A digest changes only when an output
+runs of exact zeros), each enum table at small sizes, and the edge lists of
+every generator and of write_graph.  A digest changes only when an output
 format changes on purpose."""
 
 import hashlib
@@ -75,6 +76,28 @@ ENUM_TABLES = {
 }
 
 
+# generate <kind> ... --reproducible; ba has more rows than one CSV_CHUNK
+GENERATE_DIGESTS = {
+    "ring": (["ring", "--n", "7"],
+             "afe458951827b1aff7593c2f122e6a38d20722c79498707469c97caa89bf6957"),
+    "regular": (["regular", "--n", "12", "--r", "3", "--seed", "5"],
+                "be8c24cd6787d975015e141cb548187c51df601aa6b59c64b0562852979fcb36"),
+    "ba": (["ba", "--n", "300", "--m0", "3", "--m", "2", "--seed", "7"],
+           "422d086d86d8eb2fc30ef417b4f623bb4c20a75812d95a3188851b45cb758b78"),
+    "er": (["er", "--n", "30", "--p", "0.2", "--seed", "3"],
+           "d13ad6fe208396546d179506975bff629d5683da84646659e696d174fcb998af"),
+}
+
+# write_graph(Graph(n, edges), comment): pairs reversed, repeated and out of
+# order in, one ``i j`` line per edge with i < j, sorted, out
+WRITE_GRAPH_BYTES = {
+    "empty": ((0, [], None), b"0\n"),
+    "isolated": ((6, [(4, 1), (3, 1), (1, 4)], None), b"6\n1 3\n1 4\n"),
+    "no-edges": ((3, [], None), b"3\n"),
+    "comment": ((4, [(3, 2), (0, 3), (1, 0)], "a note"), b"# a note\n4\n0 1\n0 3\n2 3\n"),
+}
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -131,3 +154,18 @@ def test_enum_table_bytes(tmp_path, name):
     assert cli.main(["enum", *args, "--out", str(out), "--reproducible"]) == 0
     assert sha256(out) == digest
 
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATE_DIGESTS))
+def test_generate_edge_list_bytes(tmp_path, kind):
+    args, digest = GENERATE_DIGESTS[kind]
+    out = tmp_path / "g.edges"
+    assert cli.main(["generate", *args, "--out", str(out), "--reproducible"]) == 0
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_GRAPH_BYTES))
+def test_write_graph_bytes(tmp_path, name):
+    (n, edges, comment), expected = WRITE_GRAPH_BYTES[name]
+    write_graph(Graph(n, edges), tmp_path / "g.edges", comment=comment)
+    assert (tmp_path / "g.edges").read_bytes() == expected
