@@ -28,7 +28,7 @@ _EXPORTS = {
     "graphs": (
         "GenerationError", "Graph", "GraphParseError", "generate_barabasi_albert",
         "generate_erdos_renyi", "generate_random_regular", "generate_ring", "parse_edge_list",
-        "read_graph", "serialize_edge_list", "write_graph",
+        "read_graph", "write_graph",
     ),
     "oracles": (
         "brute_catalan", "brute_count_connected", "brute_count_regular",

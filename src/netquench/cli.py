@@ -237,7 +237,7 @@ def cmd_enum(args) -> int:
         header, cols = "q,value", (qs, [enumeration.wright_condition_value(args.n, q) for q in qs])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown table {args.table!r}")
-    write_csv(args.out, header, [cols], _timestamp_comment(args.reproducible))
+    write_csv(args.out, header, cols, _timestamp_comment(args.reproducible))
     return 0
 
 

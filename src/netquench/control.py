@@ -92,7 +92,7 @@ def write_selection_report(
     flag = np.zeros(g.n, dtype=np.int64)  # bools would print as True/False
     flag[report.flagged] = 1
     block = (range(g.n), g.degrees, params.mu, params.beta, params.r, report.margins, flag)
-    write_csv(path, "node,degree,mu,beta,r,margin,flagged", [block], header_comment)
+    write_csv(path, "node,degree,mu,beta,r,margin,flagged", block, header_comment)
 
 
 def write_control_plan(
@@ -104,5 +104,4 @@ def write_control_plan(
 ) -> None:
     """CSV ``node,beta_old,beta_new`` for the flagged nodes, sorted by node."""
     f = report.flagged
-    write_csv(path, "node,beta_old,beta_new", [(f, original.beta[f], tuned.beta[f])],
-              header_comment)
+    write_csv(path, "node,beta_old,beta_new", (f, original.beta[f], tuned.beta[f]), header_comment)

@@ -385,5 +385,5 @@ def load_params(path) -> NodeParams:
 def save_params(params: NodeParams, path, header_comment: str | None = None) -> None:
     """Params CSV ``node,mu,beta,r``, one row per node."""
     block = (range(params.n), params.mu, params.beta, params.r)
-    write_csv(path, "node,mu,beta,r", [block], header_comment)
+    write_csv(path, "node,mu,beta,r", block, header_comment)
 

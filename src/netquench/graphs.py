@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .textio import data_lines, open_output
+from .textio import data_lines, open_output, write_rows
 
 # Full-restart budget for the pairing-model regular generator.
 DEFAULT_PAIRING_RESTARTS = 10_000
@@ -89,13 +89,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as ``(i, j)`` with ``i < j``, sorted lexicographically."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        upper = rows < self.indices
-        return tuple(zip(rows[upper].tolist(), self.indices[upper].tolist()))
-
-    @property
     def num_edges(self) -> int:
         return self.indices.size // 2
 
@@ -141,25 +134,22 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         raise GraphParseError(f"line {linenos[_check_pairs(pairs, n)]}: {exc}") from None
 
 
-def serialize_edge_list(g: Graph, comment: Optional[str] = None) -> str:
-    """Canonical text form; edges sorted lexicographically. Round-trips
-    through parse_edge_list."""
-    lines = []
-    if comment is not None:
-        lines.append(f"# {comment}")
-    lines.append(str(g.n))
-    lines.extend(f"{i} {j}" for i, j in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def read_graph(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh)
 
 
 def write_graph(g: Graph, path, comment: Optional[str] = None) -> None:
+    """Write ``g`` to ``path`` (see open_output) in the edge-list format:
+    ``# comment`` (when given), the vertex count, then one ``i j`` line per
+    edge with ``i < j``, sorted.  Round-trips through parse_edge_list."""
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    upper = rows < g.indices
     with open_output(path) as fh:
-        fh.write(serialize_edge_list(g, comment=comment))
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(f"{g.n}\n")
+        write_rows(fh, "%s %s\n", (rows[upper], g.indices[upper]))
 
 
 def generate_ring(n: int) -> Graph:
@@ -169,16 +159,14 @@ def generate_ring(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def generate_random_regular(
-    n: int, r: int, seed: int, max_restarts: int = DEFAULT_PAIRING_RESTARTS
-) -> Graph:
+def generate_random_regular(n: int, r: int, seed: int) -> Graph:
     """Uniformly random simple r-regular graph via the pairing model.
 
     All n*r half-edge stubs are shuffled and paired; a loop or repeated pair
     triggers a full restart.  Every simple r-regular graph arises from (r!)^n
     pairings, so the accepted sample is exactly uniform.
-    Raises GenerationError (reporting the attempt count) if max_restarts
-    pairings all fail.
+    Raises GenerationError (reporting the attempt count) if
+    DEFAULT_PAIRING_RESTARTS pairings all fail.
     """
     if r < 0 or r >= n:
         raise ValueError(f"degree must satisfy 0 <= r < n, got r={r}, n={n}")
@@ -186,7 +174,7 @@ def generate_random_regular(
         raise ValueError(f"parity violation: n*r = {n * r} must be even")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(r)]
-    for _ in range(max_restarts):
+    for _ in range(DEFAULT_PAIRING_RESTARTS):
         rng.shuffle(stubs)
         pairs: set[tuple[int, int]] = set()
         ok = True
@@ -203,7 +191,7 @@ def generate_random_regular(
         if ok:
             return Graph(n, pairs)
     raise GenerationError(
-        f"pairing model failed for n={n}, r={r} after {max_restarts} restarts"
+        f"pairing model failed for n={n}, r={r} after {DEFAULT_PAIRING_RESTARTS} restarts"
     )
 
 

@@ -1,14 +1,14 @@
 """Text I/O shared by every command: one line reader and one node-table
-reader for every input file, one stream opener and one CSV writer, which
-takes rows a block at a time (csv_writer) or a whole table at once
-(write_csv).  Every CSV written is UTF-8 with ``\\n`` line endings: an
-optional ``# comment`` line, the header line, then the data rows.
-csv_writer's ``put`` is the only code that turns numbers into CSV text:
-ints in decimal, floats as Python's shortest round-trip repr (``1e-05``,
-``0.0001``, ``1e+16``, ``5e-324``).  A float64 array column is formatted
-once per run of equal entries, so its cost scales with the number of runs
-(one per state of a homogeneous simulation) rather than with its length;
-the bytes are the same either way.
+reader for every input file, one stream opener, and one row writer
+(write_rows) that formats the data rows of every file written: each CSV,
+through csv_writer (a block at a time) or write_csv, and each edge list.
+Files are UTF-8 with ``\\n`` line endings; a CSV is an optional ``# comment``
+line, the header line, then the data rows.  Only write_rows turns numbers
+into text: ints in decimal, floats as Python's shortest round-trip repr
+(``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).  A float64 array column is
+formatted once per run of equal entries, so its cost scales with the number
+of runs (one per state of a homogeneous simulation) rather than with its
+length; the bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 if TYPE_CHECKING:
     import numpy as np
 
-# Rows csv_writer formats with one ``%`` and one write: enough to spread the
+# Rows write_rows formats with one ``%`` and one write: enough to spread the
 # per-call cost, few enough to bound the text held at once.
 CSV_CHUNK = 256
 
@@ -115,19 +115,27 @@ def _column_values(c) -> Iterable:
     return chain.from_iterable(map(repeat, map(repr, c[firsts].tolist()), lengths.tolist()))
 
 
+def write_rows(fh, row: str, block: tuple) -> None:
+    """Write the rows of ``block`` to the open text stream ``fh``.  A block
+    is a tuple of equal-length columns (numpy arrays, ranges, lists,
+    iterators; see _column_values); row ``k`` is ``row``, a format with one
+    ``%s`` per column, applied to entry ``k`` of each column.  Rows are
+    formatted CSV_CHUNK at a time, by one ``%`` per chunk."""
+    columns = [_column_values(c) for c in block]
+    width = len(columns)
+    values = chain.from_iterable(zip(*columns, strict=True))
+    while chunk := tuple(islice(values, CSV_CHUNK * width)):
+        fh.write((row * (len(chunk) // width)) % chunk)
+
+
 @contextlib.contextmanager
 def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callable[[tuple], None]]:
     """Open ``path`` (see open_output), write ``# comment`` (when given) and
     the header line, and yield ``put(block)``, which writes the rows of one
-    block.  A block is a tuple of equal-length columns (numpy arrays, read
-    through their ``tolist``; ranges; lists; iterators), one per header
-    field; row ``k`` holds entry ``k`` of each column, written with ``%s``.
-    A float64 array is formatted once per run of equal entries, so a
-    column of one repeated value costs one ``repr``; the bytes do not
-    depend on it.  An empty string is an empty field.  Rows are formatted
-    CSV_CHUNK at a time, by one ``%`` per chunk: a table streamed a block
-    at a time holds one block's columns and one chunk of text.  If the
-    body raises, the file is deleted."""
+    block (see write_rows), one column per header field; an empty string
+    is an empty field.  A table streamed a block at a time holds one
+    block's columns and one chunk of text.  If the body raises, the file
+    is deleted."""
     width = len(header.split(","))
     row = ",".join(["%s"] * width) + "\n"
     with open_output(path) as fh:
@@ -136,19 +144,14 @@ def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callab
         fh.write(header + "\n")
 
         def put(block: tuple) -> None:
-            columns = [_column_values(c) for c in block]
-            if len(columns) != width:
-                raise ValueError(f"{len(columns)} columns for the {width} fields of {header!r}")
-            values = chain.from_iterable(zip(*columns, strict=True))
-            while chunk := tuple(islice(values, CSV_CHUNK * width)):
-                fh.write((row * (len(chunk) // width)) % chunk)
+            if len(block) != width:
+                raise ValueError(f"{len(block)} columns for the {width} fields of {header!r}")
+            write_rows(fh, row, block)
 
         yield put
 
 
-def write_csv(path, header: str, blocks: Iterable[tuple], comment: str | None = None) -> None:
-    """Write a whole table: csv_writer's comment and header, then the rows
-    of each block in turn."""
+def write_csv(path, header: str, block: tuple, comment: str | None = None) -> None:
+    """Write a whole table: csv_writer's comment and header, then ``block``."""
     with csv_writer(path, header, comment) as put:
-        for block in blocks:
-            put(block)
+        put(block)

@@ -69,10 +69,16 @@ class TestGenerate:
                       "--seed", "5", "--out", str(out), "--reproducible"])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("kind", ["ring --n 7", "ba --n 300 --m0 3 --m 2 --seed 7"])
+    def test_stdout_gets_the_file_bytes(self, tmp_path, capsys, kind):
+        out = tmp_path / "g.edges"
+        assert cli.main(["generate", *kind.split(), "--out", str(out), "--reproducible"]) == 0
+        capsys.readouterr()
+        assert cli.main(["generate", *kind.split(), "--out", "-", "--reproducible"]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_exhausted_restarts_are_an_error(self, tmp_path, capsys, monkeypatch):
-        generate = graphs.generate_random_regular
-        monkeypatch.setattr(graphs, "generate_random_regular",
-                            lambda n, r, seed: generate(n, r, seed, max_restarts=0))
+        monkeypatch.setattr(graphs, "DEFAULT_PAIRING_RESTARTS", 0)
         out = tmp_path / "g.edges"
         code = cli.main(["generate", "regular", "--n", "12", "--r", "3", "--out", str(out)])
         assert code == 1
@@ -251,12 +257,12 @@ class TestControl:
         # after its rows, deletes the other output too
         write_csv = control_module.write_csv
 
-        def failing_write_csv(path, header, blocks, comment=None):
-            def failing_blocks():
-                yield from blocks
+        def failing_write_csv(path, header, block, comment=None):
+            def failing_column(column):
+                yield from column
                 raise OSError("plan failed")
 
-            write_csv(path, header, failing_blocks(), comment)
+            write_csv(path, header, (failing_column(block[0]), *block[1:]), comment)
 
         if failing == "write":
             monkeypatch.setattr(control_module, "write_csv", failing_write_csv)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from netquench import graphs
 from netquench.graphs import (
     GenerationError,
     Graph,
@@ -14,7 +16,7 @@ from netquench.graphs import (
     generate_random_regular,
     generate_ring,
     parse_edge_list,
-    serialize_edge_list,
+    write_graph,
 )
 from netquench.oracles import _edge_order, _mask_components, _mask_degrees, brute_count_regular
 
@@ -27,11 +29,16 @@ def neighbors(g, i):
     return g.indices[g.indptr[i] : g.indptr[i + 1]].tolist()
 
 
+def edge_pairs(g):
+    """The edges of g as ``(i, j)`` with ``i < j``, sorted, read from its CSR."""
+    rows = np.repeat(np.arange(g.n), g.degrees)
+    upper = rows < g.indices
+    return list(zip(rows[upper].tolist(), g.indices[upper].tolist()))
+
+
 class TestParse:
     def test_basic(self):
-        g = parse_edge_list("3\n0 1\n1 2")
-        assert g.n == 3
-        assert g.edges == ((0, 1), (1, 2))
+        assert parse_edge_list("3\n0 1\n1 2") == Graph(3, [(0, 1), (1, 2)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphParseError, match="line 2.*self-loop"):
@@ -42,8 +49,7 @@ class TestParse:
         assert g.num_edges == 1
 
     def test_comments_and_blank_lines(self):
-        g = parse_edge_list("# header\n\n3\n# mid\n0 2\n")
-        assert g.edges == ((0, 2),)
+        assert parse_edge_list("# header\n\n3\n# mid\n0 2\n") == Graph(3, [(0, 2)])
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(GraphParseError, match="line 3"):
@@ -69,8 +75,23 @@ class TestParse:
             Graph(1),
         ]
         for g in cases:
-            assert parse_edge_list(serialize_edge_list(g)) == g
-            assert parse_edge_list(serialize_edge_list(g, comment="with stamp")) == g
+            for comment in (None, "with stamp"):
+                text = io.StringIO()
+                write_graph(g, text, comment=comment)
+                assert parse_edge_list(text.getvalue()) == g
+
+
+class TestWrite:
+    def test_failure_after_the_count_line_leaves_no_file(self, tmp_path, monkeypatch):
+        def failing_write_rows(fh, row, block):
+            fh.write(row % (0, 1))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(graphs, "write_rows", failing_write_rows)
+        out = tmp_path / "g.edges"
+        with pytest.raises(OSError, match="disk full"):
+            write_graph(generate_ring(5), out)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGraphType:
@@ -150,13 +171,13 @@ class TestCsrConstruction:
     )
     def test_matches_reference_with_duplicates_and_reversals(self, g):
         rng = random.Random(g.n)
-        edges = list(g.edges)
+        edges = edge_pairs(g)
         noisy = edges + [(j, i) for i, j in edges[::3]] + edges[::5]
         noisy = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in noisy]
         rng.shuffle(noisy)
         built = Graph(g.n, noisy)
         canon, indptr, indices, degrees = _reference_csr(g.n, noisy)
-        assert built.edges == canon
+        assert edge_pairs(built) == list(canon)
         assert built.indptr.tolist() == indptr
         assert built.indices.tolist() == indices
         assert built.degrees.tolist() == degrees
@@ -219,17 +240,18 @@ class TestRandomRegular:
         b = generate_random_regular(12, 3, seed=42)
         assert a == b
 
-    def test_restart_budget_exhaustion(self):
+    def test_restart_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(graphs, "DEFAULT_PAIRING_RESTARTS", 0)
         with pytest.raises(GenerationError, match="restarts"):
-            generate_random_regular(10, 3, seed=0, max_restarts=0)
+            generate_random_regular(10, 3, seed=0)
 
     def test_uniform_over_the_cubic_graphs_on_six_vertices(self):
         order = _edge_order(6)
-        cubic = {tuple(e for b, e in enumerate(order) if bits >> b & 1)
+        cubic = {Graph(6, [e for b, e in enumerate(order) if bits >> b & 1])
                  for bits in range(1 << len(order)) if _mask_degrees(6, bits, order) == [3] * 6}
         assert len(cubic) == brute_count_regular(6)[3] == 70
         samples = 3500
-        seen = Counter(generate_random_regular(6, 3, seed=s).edges for s in range(samples))
+        seen = Counter(generate_random_regular(6, 3, seed=s) for s in range(samples))
         assert set(seen) == cubic
         expected = samples / len(cubic)
         chi2 = sum((k - expected) ** 2 / expected for k in seen.values())
@@ -269,7 +291,7 @@ def component_count(g):
     """Components of g by the union-find over mask bits that
     brute_count_connected counts with."""
     order = _edge_order(g.n)
-    return _mask_components(g.n, sum(1 << order.index(e) for e in g.edges), order)
+    return _mask_components(g.n, sum(1 << order.index(e) for e in edge_pairs(g)), order)
 
 
 class TestComponents:

@@ -25,7 +25,7 @@ EXPORTS = {
     "graphs": [
         "GenerationError", "Graph", "GraphParseError", "generate_barabasi_albert",
         "generate_erdos_renyi", "generate_random_regular", "generate_ring", "parse_edge_list",
-        "read_graph", "serialize_edge_list", "write_graph",
+        "read_graph", "write_graph",
     ],
     "oracles": [
         "brute_catalan", "brute_count_connected", "brute_count_regular",
@@ -38,7 +38,7 @@ ALL_NAMES = [name for names in EXPORTS.values() for name in names]
 DELETED = [
     "connected_component_count", "generate_complete", "GraphMask", "iter_graph_masks",
     "count_labelings", "stirling_log_factorial", "rarity_ratio_log",
-    "verify_bound_inequality", "DegreeSequence",
+    "verify_bound_inequality", "DegreeSequence", "serialize_edge_list",
 ]
 
 

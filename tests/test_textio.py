@@ -9,8 +9,8 @@ import pytest
 
 from netquench.cli import parse_p0_spec
 from netquench.dynamics import load_params
-from netquench.graphs import read_graph
-from netquench.textio import CSV_CHUNK, _column_values, data_lines, write_csv
+from netquench.graphs import Graph, read_graph
+from netquench.textio import CSV_CHUNK, _column_values, csv_writer, data_lines, write_csv
 
 # per format: the header (or vertex count) line and one valid row for node 0
 FORMATS = {
@@ -67,7 +67,7 @@ def test_indented_comment_is_skipped(tmp_path, fmt):
     path = write_file(tmp_path, fmt, "\t# indented comment")
     result = READERS[fmt](path)
     if fmt == "edges":
-        assert result.n == 4 and result.edges == ((0, 1),)
+        assert result == Graph(4, [(0, 1)])
     elif fmt == "params":
         assert result.n == 1 and result.mu.tolist() == [0.5]
     else:
@@ -95,7 +95,7 @@ def test_write_csv_number_format(tmp_path):
     out = tmp_path / "t.csv"
     floats = np.array([1e16, 9999999999999998.0, 5e-324, 2.2250738585072014e-308, 0.1, -0.0])
     ints = [2**64, -(2**70) - 1, 0, 7, -3, 1]
-    write_csv(out, "k,x,n,s", [(range(6), floats, ints, ["", "a", "", "", "", ""])], "note")
+    write_csv(out, "k,x,n,s", (range(6), floats, ints, ["", "a", "", "", "", ""]), "note")
     assert out.read_text() == (
         "# note\n"
         "k,x,n,s\n"
@@ -108,11 +108,12 @@ def test_write_csv_number_format(tmp_path):
     )
 
 
-def test_write_csv_blocks_follow_each_other(tmp_path):
+def test_csv_writer_blocks_follow_each_other(tmp_path):
     out = tmp_path / "t.csv"
     n = CSV_CHUNK + 3  # a block longer than one chunk
-    blocks = [(repeat(t, n), range(n), np.full(n, t / 2)) for t in range(2)]
-    write_csv(out, "t,node,p", blocks)
+    with csv_writer(out, "t,node,p") as put:
+        for t in range(2):
+            put((repeat(t, n), range(n), np.full(n, t / 2)))
     lines = out.read_text().splitlines()
     assert lines[0] == "t,node,p" and len(lines) == 1 + 2 * n
     assert lines[1] == "0,0,0.0" and lines[n] == f"0,{n - 1},0.0"
@@ -120,23 +121,25 @@ def test_write_csv_blocks_follow_each_other(tmp_path):
 
 
 @pytest.mark.parametrize("blocks", [[], [(np.array([], dtype=np.int64), [], range(0))]])
-def test_write_csv_empty_block_writes_the_header(tmp_path, blocks):
+def test_csv_writer_empty_table_writes_the_header(tmp_path, blocks):
     out = tmp_path / "t.csv"
-    write_csv(out, "node,beta_old,beta_new", blocks)
+    with csv_writer(out, "node,beta_old,beta_new") as put:
+        for block in blocks:
+            put(block)
     assert out.read_bytes() == b"node,beta_old,beta_new\n"
 
 
 @pytest.mark.parametrize("block", [(range(3), [0.5, 0.25]), (range(2), [0.5, 0.25], [1, 2])])
 def test_write_csv_rejects_a_block_that_does_not_fit(tmp_path, block):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", "a,b", [block])
+        write_csv(tmp_path / "t.csv", "a,b", block)
     assert not (tmp_path / "t.csv").exists()  # no partial table is left
 
 
 def float_column_lines(tmp_path, col):
     """The data lines write_csv gives the one-column table of ``col``."""
     out = tmp_path / "x.csv"
-    write_csv(out, "x", [(col,)])
+    write_csv(out, "x", (col,))
     lines = out.read_text().split("\n")
     assert lines[0] == "x" and lines[-1] == ""
     return lines[1:-1]
