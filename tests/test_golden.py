@@ -155,7 +155,6 @@ def test_enum_table_bytes(tmp_path, name):
     assert sha256(out) == digest
 
 
-
 @pytest.mark.parametrize("kind", sorted(GENERATE_DIGESTS))
 def test_generate_edge_list_bytes(tmp_path, kind):
     args, digest = GENERATE_DIGESTS[kind]
