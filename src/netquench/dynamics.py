@@ -44,6 +44,12 @@ MARGINAL_TOL = 1e-6
 # residual direction); a restart keeps half of them.
 LANCZOS_BASIS = 20
 
+# spectral_radius stops when the residual of its top Ritz pair drops below
+# LANCZOS_TOL, and raises ConvergenceError after MAX_PRODUCTS matrix-vector
+# products; both are read at call time.
+LANCZOS_TOL = 1e-12
+MAX_PRODUCTS = 100_000
+
 # H-steps that may refine a sigma(H) bracket straddling a marginal-band edge.
 REFINE_STEPS = 30
 
@@ -58,6 +64,14 @@ VERDICT_UNDECIDED = "undecided"
 
 class ConvergenceError(RuntimeError):
     """An iterative estimate did not converge within its iteration budget."""
+
+
+def _check_range(arr: np.ndarray, ok: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) naming the first node where ``ok`` fails;
+    NaN fails every range comparison, so it is caught here too."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"{message}; node {bad[0]} has {float(arr[bad[0]])!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +92,11 @@ class NodeParams:
             raise ValueError("mu, beta, r must be 1-d arrays of equal length")
         if self.mu.size == 0:
             raise ValueError("parameter vectors must be nonempty")
-        if not np.all(np.isfinite(self.mu)) or np.any(self.mu <= 0) or np.any(self.mu > 1):
-            raise ValueError("recovery probabilities mu must lie in (0, 1]")
-        if not np.all(np.isfinite(self.beta)) or np.any(self.beta < 0) or np.any(self.beta > 1):
-            raise ValueError("infection probabilities beta must lie in [0, 1]")
-        if not np.all(np.isfinite(self.r)) or np.any(self.r < 0) or np.any(self.r > 1):
-            raise ValueError("contact probabilities r must lie in [0, 1]")
+        mu, beta, r = self.mu, self.beta, self.r
+        _check_range(mu, (mu > 0) & (mu <= 1), "recovery probabilities mu must lie in (0, 1]")
+        _check_range(beta, (beta >= 0) & (beta <= 1),
+                     "infection probabilities beta must lie in [0, 1]")
+        _check_range(r, (r >= 0) & (r <= 1), "contact probabilities r must lie in [0, 1]")
 
     @property
     def n(self) -> int:
@@ -114,9 +127,9 @@ class SpectralEstimate:
         """The bracket against the marginal band: "stable" when
         upper < 1 - MARGINAL_TOL, "unstable" when lower > 1 + MARGINAL_TOL,
         else "marginal"."""
-        if classify_sigma(self.upper) == "stable":
+        if self.upper < 1.0 - MARGINAL_TOL:
             return "stable"
-        if classify_sigma(self.lower) == "unstable":
+        if self.lower > 1.0 + MARGINAL_TOL:
             return "unstable"
         return "marginal"
 
@@ -141,8 +154,7 @@ def as_state(p: Sequence[float], n: int) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"state must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError("state entries must lie in [0, 1]")
+    _check_range(arr, (arr >= 0) & (arr <= 1), "state entries must lie in [0, 1]")
     return arr
 
 
@@ -249,9 +261,7 @@ def _live_block(g: Graph, params: NodeParams, live: np.ndarray) -> tuple[Graph, 
     return Graph(ids.size, pairs), NodeParams(params.mu[ids], params.beta[ids], params.r[ids])
 
 
-def spectral_radius(
-    g: Graph, params: NodeParams, tol: float = 1e-12, max_iter: int = 100_000
-) -> SpectralEstimate:
+def spectral_radius(g: Graph, params: NodeParams) -> SpectralEstimate:
     """sigma(H) by thick-restart Lanczos, certified by a Collatz-Wielandt
     bracket.
 
@@ -263,8 +273,8 @@ def spectral_radius(
     all-ones vector with a basis of LANCZOS_BASIS vectors and full
     reorthogonalisation; a full basis restarts from its top half of Ritz
     vectors (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  It stops
-    when the residual of the top Ritz pair (theta, y) drops below ``tol``
-    or the basis spans the block.
+    when the residual of the top Ritz pair (theta, y) drops below
+    LANCZOS_TOL or the basis spans the block.
 
     For any nonnegative x, min (Hx)_i/x_i over the support of x is a lower
     bound on sigma(H), and for positive x, max (Hx)_i/x_i is an upper bound.
@@ -274,17 +284,19 @@ def spectral_radius(
     row sum of H as an upper bound.  A bracket that still straddles an edge
     of the marginal band is refined by up to REFINE_STEPS steps
     x <- (H + I) x (the shift keeps a bipartite block with mu = 1 from
-    oscillating).  ``max_iter`` budgets every matrix-vector product, of S
+    oscillating).  MAX_PRODUCTS budgets every matrix-vector product, of S
     and of H alike; ConvergenceError is raised when it runs out.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _check_sizes(g, params)
     live = params.beta * params.r > 0
     dead = float(np.max(1.0 - params.mu[~live], initial=-math.inf))
     if not live.any():
         return SpectralEstimate(dead, 0, dead, dead)
     if not live.all():
+        # Copy the live block so that each product costs only live nodes.
+        # Masking the dead ones on the full graph instead was as fast at
+        # 0-24% dead, 13x slower at 90% (0.54 s against 0.04 s, BA n = 10^5)
+        # and moved the last digits of sigma.
         g, params = _live_block(g, params, live)
     s = np.sqrt(params.beta * params.r)
     d = 1.0 - params.mu
@@ -293,9 +305,9 @@ def spectral_radius(
 
     def spend() -> None:
         nonlocal used
-        if used >= max_iter:
+        if used >= MAX_PRODUCTS:
             raise ConvergenceError(
-                f"spectral radius did not converge within {max_iter} iterations "
+                f"spectral radius did not converge within {MAX_PRODUCTS} iterations "
                 f"(last estimate {max(theta, dead)!r})"
             )
         used += 1
@@ -318,7 +330,7 @@ def spectral_radius(
             b = float(np.linalg.norm(q))
             ritz, vecs = np.linalg.eigh(proj[: j + 1, : j + 1])
             theta, z = float(ritz[-1]), vecs[:, -1]
-            converged = b * abs(z[-1]) < tol or j + 1 == n
+            converged = b * abs(z[-1]) < LANCZOS_TOL or j + 1 == n
             if converged:
                 break
             basis[j + 1] = q / b
@@ -365,16 +377,6 @@ def spectral_radius(
     lower = max(lower, dead)
     upper = max(upper, lower)  # bounds that meet can cross by a rounding
     return SpectralEstimate(min(max(theta, dead, lower), upper), used, lower, upper)
-
-
-def classify_sigma(sigma: float) -> str:
-    """"stable" (sigma < 1 - MARGINAL_TOL), "unstable" (sigma > 1 + MARGINAL_TOL),
-    else "marginal"."""
-    if sigma < 1.0 - MARGINAL_TOL:
-        return "stable"
-    if sigma > 1.0 + MARGINAL_TOL:
-        return "unstable"
-    return "marginal"
 
 
 def load_params(path) -> NodeParams:

@@ -7,36 +7,23 @@ with ArithmeticError because it would indicate an arithmetic bug, not an
 approximation.
 
 Asymptotic estimators (Catalan growth, pairing-model regular/degree-sequence
-counts, the unlabeled reduction) live in natural-log space as ``LogValue``s:
-the counts overflow floats long before the orders of magnitude stop being
-meaningful.  The rarity ratio of regular graphs among all graphs is the
-``enum rarity`` table of the CLI.
+counts, the unlabeled reduction) return natural logs as floats: the counts
+overflow floats long before the orders of magnitude stop being meaningful.
+Products and ratios of counts are sums and differences of logs.  The
+rarity ratio of regular graphs among all graphs is the ``enum rarity``
+table of the CLI.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 # Exact big-integer count; Python ints are arbitrary precision.
 BigCount = int
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A positive real stored as its natural log.  Products and ratios are
-    additions and subtractions of ``ln``; sums of counts must not be formed
-    in log space without explicit log-sum-exp."""
-
-    ln: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.ln)
 
 
 def _egf_log(f: Sequence[Fraction | int]) -> list[Fraction]:
@@ -75,7 +62,11 @@ def count_labeled_graphs_with_edges(p: int, k: int) -> BigCount:
     return comb(comb(p, 2), k)
 
 
-def _connected_counts_harary(pmax: int) -> list[BigCount]:
+def connected_labeled_table(pmax: int) -> list[BigCount]:
+    """[C_1, ..., C_pmax] via the subtractive recurrence
+    C_p = 2^C(p,2) - (1/p) sum_k k C(p,k) 2^C(p-k,2) C_k."""
+    if pmax < 1:
+        raise ValueError(f"order must be >= 1, got {pmax}")
     counts: list[BigCount] = [0] * (pmax + 1)
     for p in range(1, pmax + 1):
         acc = sum(
@@ -85,22 +76,7 @@ def _connected_counts_harary(pmax: int) -> list[BigCount]:
         if rem:
             raise ArithmeticError(f"subtractive recurrence: {acc} not divisible by {p}")
         counts[p] = (1 << comb(p, 2)) - q
-    return counts
-
-
-def connected_labeled_harary(p: int) -> BigCount:
-    """Connected labeled graphs on p vertices by the subtractive recurrence
-    C_p = 2^C(p,2) - (1/p) sum_k k C(p,k) 2^C(p-k,2) C_k."""
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
-    return _connected_counts_harary(p)[p]
-
-
-def connected_labeled_table(pmax: int) -> list[BigCount]:
-    """[C_1, ..., C_pmax] via the subtractive recurrence."""
-    if pmax < 1:
-        raise ValueError(f"order must be >= 1, got {pmax}")
-    return _connected_counts_harary(pmax)[1:]
+    return counts[1:]
 
 
 def connected_labeled_riordan(p: int) -> BigCount:
@@ -165,17 +141,15 @@ def catalan_column(nmax: int) -> list[BigCount]:
     return column
 
 
-def catalan_asymptotic_log(n: int) -> LogValue:
+def catalan_asymptotic_log(n: int) -> float:
     """ln of the growth form 4^n * (1/4) (pi n^3)^(-1/2): exponential factor
     A^n with A = 4 times the subexponential square-root correction."""
     if n < 2:
         raise ValueError(f"asymptotic form needs n >= 2, got {n}")
-    return LogValue(
-        n * math.log(4.0) - math.log(4.0) - 0.5 * (math.log(math.pi) + 3.0 * math.log(n))
-    )
+    return n * math.log(4.0) - math.log(4.0) - 0.5 * (math.log(math.pi) + 3.0 * math.log(n))
 
 
-def bollobas_regular_count_log(n: int, degree: int) -> LogValue:
+def bollobas_regular_count_log(n: int, degree: int) -> float:
     """ln of the pairing-model asymptotic count of labeled degree-regular
     graphs: exp(-(d^2-1)/4) (2m)! / (m! 2^m (d!)^n) with m = n*degree/2."""
     if degree < 1:
@@ -185,7 +159,7 @@ def bollobas_regular_count_log(n: int, degree: int) -> LogValue:
     if (n * degree) % 2 != 0:
         raise ValueError(f"parity violation: n*degree = {n * degree} must be even")
     m = n * degree // 2
-    return LogValue(
+    return (
         -(degree * degree - 1) / 4.0
         + _ln_factorial(2 * m)
         - _ln_factorial(m)
@@ -194,7 +168,7 @@ def bollobas_regular_count_log(n: int, degree: int) -> LogValue:
     )
 
 
-def bollobas_degree_sequence_count_log(degrees: Sequence[int]) -> LogValue:
+def bollobas_degree_sequence_count_log(degrees: Sequence[int]) -> float:
     """ln of the asymptotic count of labeled graphs with the given degree
     sequence: exp(-lam - lam^2) (2m)! / (m! 2^m prod d_i!) with
     lam = sum C(d_i, 2) / (2m).  Emits a warning when max d_i exceeds
@@ -206,7 +180,7 @@ def bollobas_degree_sequence_count_log(degrees: Sequence[int]) -> LogValue:
     if total % 2 != 0:
         raise ValueError(f"parity violation: degree sum {total} must be even")
     if total == 0:
-        return LogValue(0.0)
+        return 0.0
     n = len(d)
     bound = math.sqrt(2.0 * math.log(n)) - 1.0 if n > 1 else 0.0
     if max(d) > bound:
@@ -217,7 +191,7 @@ def bollobas_degree_sequence_count_log(degrees: Sequence[int]) -> LogValue:
         )
     m = total // 2
     lam = sum(comb(x, 2) for x in d) / (2.0 * m)
-    return LogValue(
+    return (
         -lam
         - lam * lam
         + _ln_factorial(2 * m)
@@ -227,13 +201,12 @@ def bollobas_degree_sequence_count_log(degrees: Sequence[int]) -> LogValue:
     )
 
 
-def unlabeled_regular_count_log(n: int, degree: int) -> LogValue:
+def unlabeled_regular_count_log(n: int, degree: int) -> float:
     """ln of the unlabeled regular-graph count: the labeled count divided by
     n!, valid for degree >= 3."""
     if degree < 3:
         raise ValueError(f"unlabeled reduction needs degree >= 3, got {degree}")
-    labeled = bollobas_regular_count_log(n, degree)
-    return LogValue(labeled.ln - _ln_factorial(n))
+    return bollobas_regular_count_log(n, degree) - _ln_factorial(n)
 
 
 def wright_condition_value(n: int, q: float) -> float:

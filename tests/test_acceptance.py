@@ -163,7 +163,7 @@ def test_criterion_4_bollobas_anchoring():
         start = time.perf_counter()
         exact = brute_count_regular(6)[3]  # exhausts all 32768 graphs
         assert exact == 70
-        estimate = bollobas_regular_count_log(6, 3).value
+        estimate = math.exp(bollobas_regular_count_log(6, 3))
         assert 0.5 <= estimate / exact <= 2.0
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"anchoring took {elapsed:.1f} s"
@@ -182,7 +182,7 @@ def test_criterion_5_gerschgorin_sufficiency(tmp_path):
         unflagged_seen = 0
         for g, params in instances:
             report = select_nodes(g, params)
-            est = spectral_radius(g, params, tol=1e-13, max_iter=300_000)
+            est = spectral_radius(g, params)
             if report.flagged.size == 0:
                 unflagged_seen += 1
                 assert est.sigma < 1.0
@@ -191,7 +191,7 @@ def test_criterion_5_gerschgorin_sufficiency(tmp_path):
                 assert abs(est.sigma - ref) < 1e-8
             tuned = tune_betas(g, params, report, kappa=0.9)
             assert select_nodes(g, tuned).flagged.size == 0
-            tuned_est = spectral_radius(g, tuned, tol=1e-13, max_iter=300_000)
+            tuned_est = spectral_radius(g, tuned)
             assert tuned_est.sigma < 1.0
         # the command-line control path agrees on a subsample
         for g, params in instances[::20]:
@@ -210,15 +210,13 @@ def test_criterion_5_gerschgorin_sufficiency(tmp_path):
 def test_criterion_6_extinction_dynamics():
     with criterion(6, "scale-free network: subcritical goes extinct, supercritical endemic"):
         g = generate_barabasi_albert(500, 3, 2, seed=97)
-        lam_max = spectral_radius(
-            g, NodeParams.homogeneous(500, 1.0, 1.0, 1.0), tol=1e-12
-        ).sigma
+        lam_max = spectral_radius(g, NodeParams.homogeneous(500, 1.0, 1.0, 1.0)).sigma
         mu = 0.4
         p0 = np.full(500, 0.2)
 
         beta_sub = (0.90 - (1.0 - mu)) / lam_max
         sub = NodeParams.homogeneous(500, mu, beta_sub, 1.0)
-        est = spectral_radius(g, sub, tol=1e-12)
+        est = spectral_radius(g, sub)
         assert est.sigma < 0.95
         traj = simulate(g, sub, p0, max_steps=10_000, extinct_tol=1e-6)
         assert traj.verdict == "extinct"
@@ -227,7 +225,7 @@ def test_criterion_6_extinction_dynamics():
 
         beta_end = (1.20 - (1.0 - mu)) / lam_max
         end = NodeParams.homogeneous(500, mu, beta_end, 1.0)
-        est = spectral_radius(g, end, tol=1e-12)
+        est = spectral_radius(g, end)
         assert est.sigma > 1.1
         traj = simulate(g, end, p0, max_steps=10_000, extinct_tol=1e-6)
         assert traj.verdict == "endemic"
@@ -240,7 +238,7 @@ def test_criterion_7_bound_domination():
             g, params = random_instance(rng, 3, 18)
             # keep the bound iterates finite over 1000 steps
             beta = np.array(params.beta)
-            while spectral_radius(g, params.with_beta(beta), tol=1e-10).sigma > 1.4:
+            while spectral_radius(g, params.with_beta(beta)).sigma > 1.4:
                 beta *= 0.5
             params = params.with_beta(beta)
             p = np.array([rng.random() for _ in range(g.n)])
@@ -255,7 +253,7 @@ def test_criterion_8_catalan_asymptotics():
     with criterion(8, "exact Catalan coefficients converge to the closed asymptotic form"):
         for n, tol in ((200, 0.02), (1000, 0.005)):
             ratio = math.exp(
-                math.log(catalan_coefficient(n)) - catalan_asymptotic_log(n).ln
+                math.log(catalan_coefficient(n)) - catalan_asymptotic_log(n)
             )
             assert abs(ratio - 1.0) < tol, f"n={n}: ratio {ratio}"
 

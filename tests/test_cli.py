@@ -147,6 +147,19 @@ class TestAnalyze:
         assert report["flagged"] == []
         assert report["verdict"] == "stable"
 
+    @pytest.mark.parametrize("mu", ["1.5", "nan"])
+    def test_out_of_range_param_names_the_node(self, star9_files, tmp_path, capsys, mu):
+        graph_path, params_path = star9_files
+        rows = ["node,mu,beta,r", *(f"{i},0.5,0.2,1" for i in range(10))]
+        rows[2] = f"1,{mu},0.1,1"
+        params_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--graph", str(graph_path), "--params",
+                         str(params_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: recovery probabilities mu must lie in (0, 1]; node 1 has {mu}\n")
+        assert not out.exists()
+
     def test_selection_report_csv(self, star9_files, tmp_path):
         graph_path, params_path = star9_files
         report_csv = tmp_path / "sel.csv"
@@ -480,6 +493,17 @@ class TestSimulate:
         assert first[("0", "5")] == "0.1"
         assert first[("0", "1")] == "0.0"
 
+    def test_out_of_range_p0_csv_names_the_node(self, star9_files, tmp_path, capsys):
+        graph_path, params_path = star9_files
+        p0 = tmp_path / "p0.csv"
+        p0.write_text("node,p\n0,0.4\n5,1.2\n")
+        traj = tmp_path / "t.csv"
+        assert cli.main(["simulate", "--graph", str(graph_path), "--params",
+                         str(params_path), "--p0", str(p0), "--out", str(traj)]) == 1
+        assert capsys.readouterr().err == (
+            "error: state entries must lie in [0, 1]; node 5 has 1.2\n")
+        assert not traj.exists()
+
     @pytest.mark.parametrize("spec, detail", [
         ("uniform:abc", "could not convert string to float: 'abc'"),
         ("single:x:0.5", "invalid literal for int() with base 10: 'x'"),
@@ -500,9 +524,7 @@ class TestSimulate:
 ], ids=["analyze", "control", "simulate"])
 def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatch,
                                        command, output_flags):
-    solve = dynamics.spectral_radius
-    monkeypatch.setattr(dynamics, "spectral_radius",
-                        lambda g, params: solve(g, params, max_iter=1))
+    monkeypatch.setattr(dynamics, "MAX_PRODUCTS", 1)
     graph_path, params_path = star9_files
     outputs = [arg for k, flag in enumerate(output_flags)
                for arg in (flag, str(tmp_path / f"out{k}"))]

@@ -261,7 +261,7 @@ class TestProperties:
             params = NodeParams(mu, beta, r)
             if select_nodes(g, params).flagged.size:
                 continue
-            est = spectral_radius(g, params, tol=1e-13)
+            est = spectral_radius(g, params)
             assert est.sigma < 1.0
             checked += 1
         assert checked >= 30

@@ -5,13 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from netquench import dynamics
 from netquench.control import select_nodes, tune_betas
 from netquench.dynamics import (
     MARGINAL_TOL,
     ConvergenceError,
     NodeParams,
     SpectralEstimate,
-    classify_sigma,
     linear_bound_step,
     load_params,
     save_params,
@@ -32,6 +32,11 @@ from netquench.textio import csv_writer
 
 STAR9 = Graph(10, [(0, i) for i in range(1, 10)])
 STAR9_PARAMS = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
+
+
+def verdict_of(sigma):
+    """The verdict of a bracket that pins sigma exactly."""
+    return SpectralEstimate(sigma, 0, sigma, sigma).verdict
 
 
 def sparse_instance(rng):
@@ -66,6 +71,14 @@ class TestNodeParams:
             NodeParams(np.array([0.5]), np.array([0.5]), np.array([-0.1]))
         with pytest.raises(ValueError):
             NodeParams(np.array([0.5]), np.array([0.5, 0.5]), np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+    def test_validation_names_the_first_bad_node(self, bad):
+        mu = np.array([1.0, bad, 0.1, bad])
+        with pytest.raises(ValueError, match=rf"mu must lie in \(0, 1\]; node 1 has {bad!r}$"):
+            NodeParams(mu, np.full(4, 0.5), np.full(4, 0.5))
+        with pytest.raises(ValueError, match=rf"entries must lie in \[0, 1\]; node 3 has {bad!r}$"):
+            dynamics.as_state([0.0, 0.5, 1.0, bad], 4)
 
     def test_arrays_frozen(self):
         p = NodeParams.homogeneous(3, 0.5, 0.5, 0.5)
@@ -343,20 +356,20 @@ class TestSpectralRadius:
     def test_ring_closed_form(self):
         g = generate_ring(9)
         params = NodeParams.homogeneous(9, 0.2, 0.3, 0.9)
-        est = spectral_radius(g, params, tol=1e-13)
+        est = spectral_radius(g, params)
         assert est.sigma == pytest.approx(1.34, abs=1e-9)
 
     def test_star_marginal(self):
         g = Graph(5, [(0, i) for i in range(1, 5)])
         params = NodeParams.homogeneous(5, 0.5, 0.25, 1.0)
-        est = spectral_radius(g, params, tol=1e-13)
+        est = spectral_radius(g, params)
         assert est.sigma == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_dense_oracle(self):
         rng = random.Random(17)
         for _ in range(100):
             g, params = random_instance(rng, n_hi=10)
-            est = spectral_radius(g, params, tol=1e-13, max_iter=200_000)
+            est = spectral_radius(g, params)
             ref = dense_spectral_radius(dense_bound_matrix(g, params))
             assert abs(est.sigma - ref) < 1e-8
 
@@ -365,17 +378,19 @@ class TestSpectralRadius:
         for _ in range(30):
             g, params = random_instance(rng)
             c = rng.uniform(0.05, 1.0)
-            base = spectral_radius(g, params, tol=1e-12).sigma
-            scaled = spectral_radius(g, params.with_beta(c * params.beta), tol=1e-12).sigma
+            base = spectral_radius(g, params).sigma
+            scaled = spectral_radius(g, params.with_beta(c * params.beta)).sigma
             assert scaled <= base + 1e-9
 
-    def test_unconverged_reported_honestly(self):
+    def test_unconverged_reported_honestly(self, monkeypatch):
         # Lanczos needs 2 products on the homogeneous star, the bracket 2 more
-        with pytest.raises(ConvergenceError, match=r"within 1 iterations \(last estimate "):
-            spectral_radius(STAR9, STAR9_PARAMS, max_iter=1)
-        with pytest.raises(ConvergenceError, match=r"within 3 iterations \(last estimate "):
-            spectral_radius(STAR9, STAR9_PARAMS, max_iter=3)
-        est = spectral_radius(STAR9, STAR9_PARAMS, max_iter=4)
+        for budget in (1, 3):
+            monkeypatch.setattr(dynamics, "MAX_PRODUCTS", budget)
+            with pytest.raises(ConvergenceError,
+                               match=rf"within {budget} iterations \(last estimate "):
+                spectral_radius(STAR9, STAR9_PARAMS)
+        monkeypatch.setattr(dynamics, "MAX_PRODUCTS", 4)
+        est = spectral_radius(STAR9, STAR9_PARAMS)
         assert est.iterations == 4
         assert est.sigma == pytest.approx(1.1, abs=1e-12)
 
@@ -390,6 +405,29 @@ class TestSpectralRadius:
         assert est.sigma == 0.5
         assert est.lower <= 0.5 <= est.upper
         assert est.upper - est.lower < 1e-15
+
+    def test_products_run_on_the_live_block(self, monkeypatch):
+        # beta = 0 on 90% of BA(200): every product, of S and of H, runs on
+        # the 20 live nodes only
+        g = generate_barabasi_albert(200, 3, 2, seed=5)
+        rng = np.random.default_rng(5)
+        beta = np.where(np.arange(200) % 10 == 0, rng.uniform(0.1, 0.9, 200), 0.0)
+        params = NodeParams(rng.uniform(0.1, 1.0, 200), beta, rng.uniform(0.2, 1.0, 200))
+        sizes = []
+        neighbor_sums = dynamics._neighbor_sums
+
+        def recording(g, x):
+            sizes.append(x.size)
+            return neighbor_sums(g, x)
+
+        monkeypatch.setattr(dynamics, "_neighbor_sums", recording)
+        est = spectral_radius(g, params)
+        assert len(sizes) == est.iterations > 0
+        assert set(sizes) == {20}
+        a = np.zeros((200, 200))
+        a[np.repeat(np.arange(200), g.degrees), g.indices] = 1.0
+        h = np.diag(1.0 - params.mu) + (params.beta * params.r)[:, None] * a
+        assert est.lower - 1e-12 <= np.abs(np.linalg.eigvals(h)).max() <= est.upper + 1e-12
 
     def test_only_dead_nodes(self):
         g = generate_ring(4)
@@ -424,7 +462,7 @@ class TestSpectralRadius:
             # x = 1 gives the largest row sum of H as an upper bound
             assert est.upper <= dense_bound_matrix(g, params).sum(axis=1).max() + 1e-12
             if min(abs(ref - e) for e in edges) >= 1e-9:
-                assert est.verdict == classify_sigma(ref)
+                assert est.verdict == verdict_of(ref)
 
     def test_instance17_bracket_excludes_power_value(self):
         # BA(5000, 3, 2) and params of held-out benchmark instance 17, tuned
@@ -457,9 +495,10 @@ class TestThresholdCheck:
         params = NodeParams.homogeneous(9, 0.2, 0.3, 0.9)
         assert spectral_radius(g, params).verdict == "unstable"
 
-    def test_propagates_nonconvergence(self):
+    def test_propagates_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_PRODUCTS", 1)
         with pytest.raises(ConvergenceError, match="1 iterations"):
-            spectral_radius(STAR9, STAR9_PARAMS, max_iter=1).verdict
+            spectral_radius(STAR9, STAR9_PARAMS).verdict
 
     def test_verdict_reads_the_bracket(self):
         def verdict(sigma, lower, upper):
@@ -488,11 +527,11 @@ class TestThresholdCheck:
             assert est.lower - beta * width <= target <= est.upper + beta * width, target
 
     def test_classify_sigma_band(self):
-        assert classify_sigma(1.0 - 2e-6) == "stable"
-        assert classify_sigma(1.0 - 1e-6) == "marginal"
-        assert classify_sigma(1.0) == "marginal"
-        assert classify_sigma(1.0 + 1e-6) == "marginal"
-        assert classify_sigma(1.0 + 2e-6) == "unstable"
+        assert verdict_of(1.0 - 2e-6) == "stable"
+        assert verdict_of(1.0 - 1e-6) == "marginal"
+        assert verdict_of(1.0) == "marginal"
+        assert verdict_of(1.0 + 1e-6) == "marginal"
+        assert verdict_of(1.0 + 2e-6) == "unstable"
 
 
 class TestDominationAndStability:
@@ -515,7 +554,7 @@ class TestDominationAndStability:
             beta = np.array(params.beta)
             # scale beta down until comfortably subcritical
             for _ in range(60):
-                if spectral_radius(g, params.with_beta(beta), tol=1e-12).sigma < 0.99:
+                if spectral_radius(g, params.with_beta(beta)).sigma < 0.99:
                     break
                 beta *= 0.7
             trial = params.with_beta(beta)
