@@ -18,6 +18,8 @@ from .textio import data_lines, open_output, write_rows
 
 # Full-restart budget for the pairing-model regular generator.
 DEFAULT_PAIRING_RESTARTS = 10_000
+# Largest vertex count: the build's sort key i*n + j stays below 2**63.
+MAX_ORDER = 3_037_000_499  # math.isqrt(2**63 - 1)
 
 class GraphParseError(ValueError):
     """Edge-list text could not be parsed; the message carries the line number."""
@@ -29,7 +31,8 @@ class GenerationError(RuntimeError):
 
 class Graph:
     """Immutable undirected simple graph (no self-loops, no multi-edges),
-    stored as CSR adjacency.
+    stored as CSR adjacency.  The build sorts one int64 key per edge
+    direction, so the vertex count is at most MAX_ORDER.
 
     Attributes
     ----------
@@ -45,8 +48,8 @@ class Graph:
     __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if not 0 <= n <= MAX_ORDER:
+            raise ValueError(f"vertex count must lie in 0..{MAX_ORDER}, got {n}")
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
             pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
@@ -58,17 +61,17 @@ class Graph:
             i, j = int(pairs[k, 0]), int(pairs[k, 1])
             raise ValueError(f"self-loop at vertex {i}" if i == j
                              else f"vertex id out of range for n={n}: ({i}, {j})")
-        # both directions of every pair, sorted by (row, column); repeated
-        # and reversed input pairs become adjacent duplicates and are dropped
-        rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
-        cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        fresh = np.ones(rows.size, dtype=bool)
-        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        # the key i*n + j of both directions of every pair, sorted, orders the
+        # entries by (row, column); repeated and reversed input pairs become
+        # adjacent duplicates and are dropped
+        i, j = pairs[:, 0], pairs[:, 1]
+        keys = np.concatenate((i * n + j, j * n + i))
+        keys.sort()
+        fresh = np.ones(keys.size, dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        rows, self.indices = np.divmod(keys[fresh], n)
         self.n = int(n)
-        self.indices = cols[fresh]
-        self.degrees = np.bincount(rows[fresh], minlength=self.n).astype(np.int64, copy=False)
+        self.degrees = np.bincount(rows, minlength=self.n).astype(np.int64, copy=False)
         self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
         for arr in (self.indptr, self.indices, self.degrees):
             arr.flags.writeable = False
@@ -114,8 +117,8 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         n = int(fields[0])
     except ValueError:
         raise GraphParseError(f"line {lineno}: vertex count is not an integer") from None
-    if n < 0:
-        raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
+    if not 0 <= n <= MAX_ORDER:
+        raise GraphParseError(f"line {lineno}: vertex count must lie in 0..{MAX_ORDER}")
     linenos: list[int] = []
     ids: list[int] = []
     for lineno, fields in rows:
@@ -162,9 +165,10 @@ def generate_ring(n: int) -> Graph:
 def generate_random_regular(n: int, r: int, seed: int) -> Graph:
     """Uniformly random simple r-regular graph via the pairing model.
 
-    All n*r half-edge stubs are shuffled and paired; a loop or repeated pair
-    triggers a full restart.  Every simple r-regular graph arises from (r!)^n
-    pairings, so the accepted sample is exactly uniform.
+    All n*r half-edge stubs are shuffled and paired; an attempt is accepted
+    when it has no loop and Graph keeps all n*r/2 pairs (none repeats), and
+    otherwise restarts in full.  Every simple r-regular graph arises from
+    (r!)^n pairings, so the accepted sample is exactly uniform.
     Raises GenerationError (reporting the attempt count) if
     DEFAULT_PAIRING_RESTARTS pairings all fail.
     """
@@ -176,20 +180,11 @@ def generate_random_regular(n: int, r: int, seed: int) -> Graph:
     stubs = [v for v in range(n) for _ in range(r)]
     for _ in range(DEFAULT_PAIRING_RESTARTS):
         rng.shuffle(stubs)
-        pairs: set[tuple[int, int]] = set()
-        ok = True
-        for k in range(0, len(stubs), 2):
-            i, j = stubs[k], stubs[k + 1]
-            if i == j:
-                ok = False
-                break
-            e = (i, j) if i < j else (j, i)
-            if e in pairs:
-                ok = False
-                break
-            pairs.add(e)
-        if ok:
-            return Graph(n, pairs)
+        pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
+        if not (pairs[:, 0] == pairs[:, 1]).any():
+            g = Graph(n, pairs)
+            if g.num_edges == len(pairs):
+                return g
     raise GenerationError(
         f"pairing model failed for n={n}, r={r} after {DEFAULT_PAIRING_RESTARTS} restarts"
     )

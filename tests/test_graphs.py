@@ -1,5 +1,7 @@
+import hashlib
 import io
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -65,6 +67,13 @@ class TestParse:
         with pytest.raises(GraphParseError, match="vertex count"):
             parse_edge_list("# nothing\n")
 
+    def test_vertex_count_beyond_the_order_bound(self):
+        message = r"line 2: vertex count must lie in 0\.\.3037000499$"
+        with pytest.raises(GraphParseError, match=message):
+            parse_edge_list("# header only\n3037000500\n")
+        with pytest.raises(GraphParseError, match="line 1: vertex count"):
+            parse_edge_list("-1\n")
+
     def test_round_trip(self):
         cases = [
             generate_ring(7),
@@ -102,6 +111,14 @@ class TestGraphType:
     def test_rejects_bad_ids(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
+
+    def test_order_bound_is_checked_before_any_array(self, monkeypatch):
+        # the sort key i*n + j fits int64 only up to n = isqrt(2**63 - 1)
+        assert graphs.MAX_ORDER == math.isqrt(2**63 - 1) == 3_037_000_499
+        monkeypatch.setattr(graphs, "np", None)  # any numpy call would raise AttributeError
+        for n in (graphs.MAX_ORDER + 1, -1):
+            with pytest.raises(ValueError, match="vertex count must lie in 0..3037000499"):
+                Graph(n)
 
     def test_adjacency_symmetric_and_sorted(self):
         g = Graph(4, [(2, 0), (0, 1), (3, 0)])
@@ -166,8 +183,10 @@ class TestCsrConstruction:
             generate_ring(9),
             Graph(5),
             Graph(0),
+            Graph(2**20, [(2**20 - 1, 2**20 - 2), (2**20 - 3, 2**20 - 1), (0, 2**20 - 1),
+                          (2**20 - 2, 2**20 - 3), (2**20 - 2, 7)]),
         ],
-        ids=["ba", "regular", "er", "ring", "empty", "order0"],
+        ids=["ba", "regular", "er", "ring", "empty", "order0", "large-ids"],
     )
     def test_matches_reference_with_duplicates_and_reversals(self, g):
         rng = random.Random(g.n)
@@ -239,6 +258,15 @@ class TestRandomRegular:
         a = generate_random_regular(12, 3, seed=42)
         b = generate_random_regular(12, 3, seed=42)
         assert a == b
+
+    def test_seed_to_graph_map_is_pinned(self):
+        # these seeds reject 23,089 attempts for a loop and 5,886 for a
+        # repeated pair, so a change to either rule shows here
+        h = hashlib.sha256()
+        for n, r in ((12, 3), (30, 4), (9, 4)):
+            for seed in range(200):
+                h.update(generate_random_regular(n, r, seed).indices.tobytes())
+        assert h.hexdigest() == "f675f3b225476b5ce7d32210cd755fc4c554f4574ee8298d666a4d156768a070"
 
     def test_restart_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(graphs, "DEFAULT_PAIRING_RESTARTS", 0)
