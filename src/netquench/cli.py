@@ -2,13 +2,12 @@
 
 Subcommands: generate, analyze, control, simulate, enum, verify.  Reports
 are JSON (nested data); tables and time series are CSV.  Every command is
-deterministic given its flags and seed; ``--reproducible`` suppresses the
-timestamp header line so repeated runs are byte-identical.  Exit code 0
-means every requested computation converged and validated; a sigma(H)
-solve that runs out of iterations ends analyze, control and simulate with
-``error: ...`` and exit code 1 before they write any output.  A command's
-output files are all-or-nothing: each is opened before any is written, and
-an error in any deletes them all.
+deterministic: given its flags and seed, every run writes the same bytes.
+Exit code 0 means every requested computation converged and validated; a
+sigma(H) solve that runs out of iterations ends analyze, control and
+simulate with ``error: ...`` and exit code 1 before they write any output.
+A command's output files are all-or-nothing: each is opened before any is
+written, and an error in any deletes them all.
 
 Only ``enumeration`` and ``textio`` load with this module; each command
 imports the rest when it runs, so ``--help`` and ``enum`` start without
@@ -24,7 +23,6 @@ import math
 import os
 import random
 import sys
-from datetime import datetime, timezone
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -58,18 +56,14 @@ _KNOWN_REGULAR_COUNTS = ((1,), (1, 1), (1, 0, 1), (1, 3, 3, 1), (1, 0, 12, 0, 1)
 _GENERATE_FLAGS = {"regular": ("r",), "ba": ("m0", "m"), "er": ("p",)}
 
 
-def _timestamp_comment(reproducible: bool) -> str | None:
-    if reproducible:
-        return None
-    return f"generated {datetime.now(timezone.utc).isoformat()}"
-
-
-def _check_distinct_outputs(*outputs: tuple[str, str | None]) -> None:
-    """Raise ValueError if two of a command's ``(flag, path)`` outputs are one
-    file, which both would write at once.  Stdout and an existing device
-    such as /dev/null may be named twice."""
+def _check_outputs(*outputs: tuple[str, str | None], summary: bool = False) -> None:
+    """Raise ValueError if a command's ``(flag, path)`` outputs name one file
+    twice, which both would write at once (stdout and an existing device such
+    as /dev/null may repeat), or name stdout when it gets a ``summary`` line."""
     seen: dict[str, str] = {}
     for flag, path in outputs:
+        if summary and path == "-":
+            raise ValueError(f"{flag} cannot be '-': stdout carries the summary line")
         if path is None or path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
             continue
         real = os.path.realpath(path)
@@ -125,13 +119,13 @@ def cmd_generate(args) -> int:
         g = graphs.generate_erdos_renyi(args.n, args.p, args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown graph kind {args.kind!r}")
-    graphs.write_graph(g, args.out, comment=_timestamp_comment(args.reproducible))
+    graphs.write_graph(g, args.out)
     print(f"wrote {args.kind} graph: n={g.n}, edges={g.num_edges}", file=sys.stderr)
     return 0
 
 
 def cmd_analyze(args) -> int:
-    _check_distinct_outputs(("--out", args.out), ("--report-csv", args.report_csv))
+    _check_outputs(("--out", args.out), ("--report-csv", args.report_csv))
     from . import control, dynamics, graphs
 
     g = graphs.read_graph(args.graph)
@@ -147,22 +141,17 @@ def cmd_analyze(args) -> int:
         "verdict": est.verdict,
         "flagged": report.flagged.tolist(),
     }
-    if not args.reproducible:
-        payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     report_out = open_output(args.report_csv) if args.report_csv else contextlib.nullcontext()
     with open_output(args.out) as fh, report_out as report_fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
         if report_fh is not None:
-            control.write_selection_report(
-                report, g, params, report_fh,
-                header_comment=_timestamp_comment(args.reproducible),
-            )
+            control.write_selection_report(report, g, params, report_fh)
     return 0
 
 
 def cmd_control(args) -> int:
-    _check_distinct_outputs(("--params-out", args.params_out), ("--plan-out", args.plan_out))
+    _check_outputs(("--params-out", args.params_out), ("--plan-out", args.plan_out), summary=True)
     from . import control, dynamics, graphs
 
     g = graphs.read_graph(args.graph)
@@ -171,16 +160,16 @@ def cmd_control(args) -> int:
     kappa = control.DEFAULT_SAFETY if args.kappa is None else args.kappa
     tuned = control.tune_betas(g, params, report, kappa=kappa)
     est = dynamics.spectral_radius(g, tuned)
-    stamp = _timestamp_comment(args.reproducible)
     with open_output(args.params_out) as params_fh, open_output(args.plan_out) as plan_fh:
-        dynamics.save_params(tuned, params_fh, header_comment=stamp)
-        control.write_control_plan(report, params, tuned, plan_fh, header_comment=stamp)
+        dynamics.save_params(tuned, params_fh)
+        control.write_control_plan(report, params, tuned, plan_fh)
     stable = est.verdict == "stable"
     print(f"tuned={report.flagged.size} sigma={est.sigma!r} stable={str(stable).lower()}")
     return 0 if stable else 1
 
 
 def cmd_simulate(args) -> int:
+    _check_outputs(("--out", args.out), summary=True)
     from . import dynamics, graphs
 
     dynamics.check_simulate_args(args.max_steps, args.tol, args.endemic_window)
@@ -189,7 +178,7 @@ def cmd_simulate(args) -> int:
     p0 = parse_p0_spec(args.p0, g.n)
     est = dynamics.spectral_radius(g, params)
     n = g.n
-    with csv_writer(args.out, "t,node,p", _timestamp_comment(args.reproducible)) as put:
+    with csv_writer(args.out, "t,node,p") as put:
         traj = dynamics.simulate(
             g,
             params,
@@ -237,7 +226,7 @@ def cmd_enum(args) -> int:
         header, cols = "q,value", (qs, [enumeration.wright_condition_value(args.n, q) for q in qs])
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown table {args.table!r}")
-    write_csv(args.out, header, cols, _timestamp_comment(args.reproducible))
+    write_csv(args.out, header, cols)
     return 0
 
 
@@ -349,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p", type=float, help="edge probability (er)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default="-")
-    p_gen.add_argument("--reproducible", action="store_true")
     p_gen.set_defaults(func=cmd_generate)
 
     p_an = sub.add_parser("analyze", help="spectral radius, threshold verdict, flagged nodes")
@@ -357,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--params", required=True)
     p_an.add_argument("--out", default="-")
     p_an.add_argument("--report-csv", default=None)
-    p_an.add_argument("--reproducible", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 
     p_ctl = sub.add_parser("control", help="tune beta on flagged nodes")
@@ -366,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ctl.add_argument("--kappa", type=float, default=None)  # None: control.DEFAULT_SAFETY
     p_ctl.add_argument("--params-out", required=True)
     p_ctl.add_argument("--plan-out", required=True)
-    p_ctl.add_argument("--reproducible", action="store_true")
     p_ctl.set_defaults(func=cmd_control)
 
     p_sim = sub.add_parser("simulate", help="run the exact dynamics to a verdict")
@@ -377,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tol", type=float, default=1e-6)
     p_sim.add_argument("--endemic-window", type=int, default=200)
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--reproducible", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_enum = sub.add_parser("enum", help="counting tables and asymptotic sweeps as CSV")
@@ -391,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--nmax", type=int, default=60)
     p_enum.add_argument("--n", type=int, default=10)
     p_enum.add_argument("--out", default="-")
-    p_enum.add_argument("--reproducible", action="store_true")
     p_enum.set_defaults(func=cmd_enum)
 
     p_ver = sub.add_parser("verify", help="run the brute-force oracle cross-checks")

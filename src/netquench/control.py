@@ -86,13 +86,12 @@ def write_selection_report(
     g: Graph,
     params: NodeParams,
     path,
-    header_comment: str | None = None,
 ) -> None:
     """CSV ``node,degree,mu,beta,r,margin,flagged`` sorted by node."""
     flag = np.zeros(g.n, dtype=np.int64)  # bools would print as True/False
     flag[report.flagged] = 1
     block = (range(g.n), g.degrees, params.mu, params.beta, params.r, report.margins, flag)
-    write_csv(path, "node,degree,mu,beta,r,margin,flagged", block, header_comment)
+    write_csv(path, "node,degree,mu,beta,r,margin,flagged", block)
 
 
 def write_control_plan(
@@ -100,8 +99,7 @@ def write_control_plan(
     original: NodeParams,
     tuned: NodeParams,
     path,
-    header_comment: str | None = None,
 ) -> None:
     """CSV ``node,beta_old,beta_new`` for the flagged nodes, sorted by node."""
     f = report.flagged
-    write_csv(path, "node,beta_old,beta_new", (f, original.beta[f], tuned.beta[f]), header_comment)
+    write_csv(path, "node,beta_old,beta_new", (f, original.beta[f], tuned.beta[f]))

@@ -10,7 +10,7 @@ random source is the stdlib Mersenne Twister (``random.Random``).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -142,15 +142,12 @@ def read_graph(path) -> Graph:
         return parse_edge_list(fh)
 
 
-def write_graph(g: Graph, path, comment: Optional[str] = None) -> None:
-    """Write ``g`` to ``path`` (see open_output) in the edge-list format:
-    ``# comment`` (when given), the vertex count, then one ``i j`` line per
-    edge with ``i < j``, sorted.  Round-trips through parse_edge_list."""
+def write_graph(g: Graph, path) -> None:
+    """Write ``g`` to ``path`` (see open_output) as parse_edge_list reads it:
+    the vertex count, then one ``i j`` line per edge with ``i < j``, sorted."""
     rows = np.repeat(np.arange(g.n), g.degrees)
     upper = rows < g.indices
     with open_output(path) as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
         fh.write(f"{g.n}\n")
         write_rows(fh, "%s %s\n", (rows[upper], g.indices[upper]))
 

@@ -2,13 +2,13 @@
 reader for every input file, one stream opener, and one row writer
 (write_rows) that formats the data rows of every file written: each CSV,
 through csv_writer (a block at a time) or write_csv, and each edge list.
-Files are UTF-8 with ``\\n`` line endings; a CSV is an optional ``# comment``
-line, the header line, then the data rows.  Only write_rows turns numbers
-into text: ints in decimal, floats as Python's shortest round-trip repr
-(``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).  A float64 array column is
-formatted once per run of equal entries, so its cost scales with the number
-of runs (one per state of a homogeneous simulation) rather than with its
-length; the bytes are the same either way.
+Files are UTF-8 with ``\\n`` line endings; a CSV is the header line, then
+the data rows.  Only write_rows turns numbers into text: ints in decimal,
+floats as Python's shortest round-trip repr (``1e-05``, ``0.0001``,
+``1e+16``, ``5e-324``).  A float64 array column is formatted once per run
+of equal entries, so its cost scales with the number of runs (one per
+state of a homogeneous simulation) rather than with its length; the bytes
+are the same either way.
 """
 
 from __future__ import annotations
@@ -129,18 +129,15 @@ def write_rows(fh, row: str, block: tuple) -> None:
 
 
 @contextlib.contextmanager
-def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callable[[tuple], None]]:
-    """Open ``path`` (see open_output), write ``# comment`` (when given) and
-    the header line, and yield ``put(block)``, which writes the rows of one
-    block (see write_rows), one column per header field; an empty string
-    is an empty field.  A table streamed a block at a time holds one
-    block's columns and one chunk of text.  If the body raises, the file
-    is deleted."""
+def csv_writer(path, header: str) -> Iterator[Callable[[tuple], None]]:
+    """Open ``path`` (see open_output), write the header line, and yield
+    ``put(block)``, which writes the rows of one block (see write_rows), one
+    column per header field; an empty string is an empty field.  A table
+    streamed a block at a time holds one block's columns and one chunk of
+    text.  If the body raises, the file is deleted."""
     width = len(header.split(","))
     row = ",".join(["%s"] * width) + "\n"
     with open_output(path) as fh:
-        if comment is not None:
-            fh.write(f"# {comment}\n")
         fh.write(header + "\n")
 
         def put(block: tuple) -> None:
@@ -151,7 +148,7 @@ def csv_writer(path, header: str, comment: str | None = None) -> Iterator[Callab
         yield put
 
 
-def write_csv(path, header: str, block: tuple, comment: str | None = None) -> None:
-    """Write a whole table: csv_writer's comment and header, then ``block``."""
-    with csv_writer(path, header, comment) as put:
+def write_csv(path, header: str, block: tuple) -> None:
+    """Write a whole table: csv_writer's header, then ``block``."""
+    with csv_writer(path, header) as put:
         put(block)

@@ -116,7 +116,7 @@ def test_criterion_1_connected_table(tmp_path):
         out = tmp_path / "connected.csv"
         start = time.perf_counter()
         assert cli.main(
-            ["enum", "connected", "--pmax", "20", "--out", str(out), "--reproducible"]
+            ["enum", "connected", "--pmax", "20", "--out", str(out)]
         ) == 0
         elapsed = time.perf_counter() - start
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
@@ -148,7 +148,7 @@ def test_criterion_3_regular_rarity(tmp_path):
         for r in (3, 4, 5):
             out = tmp_path / f"rarity{r}.csv"
             assert cli.main(["enum", "rarity", "--degree", str(r), "--nmax", "60",
-                             "--out", str(out), "--reproducible"]) == 0
+                             "--out", str(out)]) == 0
             with open(out, newline="") as fh:
                 rows = {int(row["n"]): float(row["ln_ratio"]) for row in csv.DictReader(fh)}
             assert list(rows) == [n for n in range(r + 1, 61) if (n * r) % 2 == 0]

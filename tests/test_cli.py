@@ -2,7 +2,6 @@ import json
 import math
 import os
 import tracemalloc
-from datetime import datetime
 
 import numpy as np
 import pytest
@@ -66,15 +65,15 @@ class TestGenerate:
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
         for out in (a, b):
             cli.main(["generate", "regular", "--n", "12", "--r", "3",
-                      "--seed", "5", "--out", str(out), "--reproducible"])
+                      "--seed", "5", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("kind", ["ring --n 7", "ba --n 300 --m0 3 --m 2 --seed 7"])
     def test_stdout_gets_the_file_bytes(self, tmp_path, capsys, kind):
         out = tmp_path / "g.edges"
-        assert cli.main(["generate", *kind.split(), "--out", str(out), "--reproducible"]) == 0
+        assert cli.main(["generate", *kind.split(), "--out", str(out)]) == 0
         capsys.readouterr()
-        assert cli.main(["generate", *kind.split(), "--out", "-", "--reproducible"]) == 0
+        assert cli.main(["generate", *kind.split(), "--out", "-"]) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_exhausted_restarts_are_an_error(self, tmp_path, capsys, monkeypatch):
@@ -102,7 +101,7 @@ class TestAnalyze:
         graph_path, params_path = star9_files
         out = tmp_path / "report.json"
         code = cli.main(["analyze", "--graph", str(graph_path), "--params",
-                         str(params_path), "--out", str(out), "--reproducible"])
+                         str(params_path), "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert report["n"] == 10 and report["num_edges"] == 9
@@ -114,15 +113,14 @@ class TestAnalyze:
         assert sorted(report) == ["flagged", "n", "num_edges", "sigma", "sigma_lower",
                                   "sigma_upper", "verdict"]
 
-    def test_generated_at_is_iso_timestamp(self, star9_files, tmp_path):
+    def test_json_has_exactly_the_summary_keys(self, star9_files, tmp_path):
         graph_path, params_path = star9_files
         out = tmp_path / "report.json"
         cli.main(["analyze", "--graph", str(graph_path), "--params",
                   str(params_path), "--out", str(out)])
         report = json.loads(out.read_text())
-        assert datetime.fromisoformat(report["generated_at"]).tzinfo is not None
-        assert sorted(report) == ["flagged", "generated_at", "n", "num_edges", "sigma",
-                                  "sigma_lower", "sigma_upper", "verdict"]
+        assert sorted(report) == ["flagged", "n", "num_edges", "sigma", "sigma_lower",
+                                  "sigma_upper", "verdict"]
 
     def test_regular_homogeneous_all_or_nothing(self, tmp_path):
         g = generate_ring(8)
@@ -164,8 +162,7 @@ class TestAnalyze:
         graph_path, params_path = star9_files
         report_csv = tmp_path / "sel.csv"
         cli.main(["analyze", "--graph", str(graph_path), "--params", str(params_path),
-                  "--out", str(tmp_path / "r.json"), "--report-csv", str(report_csv),
-                  "--reproducible"])
+                  "--out", str(tmp_path / "r.json"), "--report-csv", str(report_csv)])
         header, rows = read_csv_rows(report_csv)
         assert header == ["node", "degree", "mu", "beta", "r", "margin", "flagged"]
         assert rows[0][-1] == "1" and rows[1][-1] == "0"
@@ -203,7 +200,7 @@ class TestControl:
         plan = tmp_path / "plan.csv"
         code = cli.main(["control", "--graph", str(graph_path), "--params",
                          str(params_path), "--kappa", "0.9", "--params-out",
-                         str(tuned), "--plan-out", str(plan), "--reproducible"])
+                         str(tuned), "--plan-out", str(plan)])
         assert code == 0
         out = capsys.readouterr().out
         assert "stable=true" in out
@@ -226,7 +223,7 @@ class TestControl:
         code = cli.main(["control", "--graph", str(tmp_path / "g.edges"),
                          "--params", str(tmp_path / "p.csv"),
                          "--params-out", str(tmp_path / "t.csv"),
-                         "--plan-out", str(tmp_path / "plan.csv"), "--reproducible"])
+                         "--plan-out", str(tmp_path / "plan.csv")])
         assert code == 0
         assert "tuned=0" in capsys.readouterr().out
         # the plan is the header line alone; the tuned params are the input
@@ -270,12 +267,12 @@ class TestControl:
         # after its rows, deletes the other output too
         write_csv = control_module.write_csv
 
-        def failing_write_csv(path, header, block, comment=None):
+        def failing_write_csv(path, header, block):
             def failing_column(column):
                 yield from column
                 raise OSError("plan failed")
 
-            write_csv(path, header, (failing_column(block[0]), *block[1:]), comment)
+            write_csv(path, header, (failing_column(block[0]), *block[1:]))
 
         if failing == "write":
             monkeypatch.setattr(control_module, "write_csv", failing_write_csv)
@@ -323,7 +320,7 @@ class TestSimulate:
         capsys.readouterr()
         traj = tmp_path / "traj.csv"
         code = cli.main(["simulate", "--graph", str(graph_path), "--params", str(tuned),
-                         "--p0", "uniform:0.2", "--out", str(traj), "--reproducible"])
+                         "--p0", "uniform:0.2", "--out", str(traj)])
         assert code == 0
         verdict, steps, sigma = capsys.readouterr().out.strip().split(",")
         assert verdict == "extinct"
@@ -462,7 +459,7 @@ class TestSimulate:
         out = tmp_path / "t.csv"
         assert cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
                          "--params", str(tmp_path / "p.csv"), "--p0", p0,
-                         "--out", str(out), "--reproducible"]) == 0
+                         "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("extinct,")
         states = []
         dynamics.simulate(read_graph(tmp_path / "g.edges"), load_params(tmp_path / "p.csv"),
@@ -529,12 +526,48 @@ def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatc
     outputs = [arg for k, flag in enumerate(output_flags)
                for arg in (flag, str(tmp_path / f"out{k}"))]
     code = cli.main([command, "--graph", str(graph_path), "--params", str(params_path),
-                     *outputs, "--reproducible"])
+                     *outputs])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: spectral radius did not converge within 1 iterations")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv", "star.edges"]
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("control", ["--params-out", "-", "--plan-out", "plan.csv"]),
+    ("control", ["--params-out", "tuned.csv", "--plan-out", "-"]),
+    ("simulate", ["--out", "-"]),
+], ids=["control-params", "control-plan", "simulate"])
+def test_stdout_beside_the_summary_line_is_an_error(star9_files, tmp_path, capsys, monkeypatch,
+                                                    command, outputs):
+    # the summary line would read as one more row of the table; the graph
+    # named does not exist, so the error comes before any input is read
+    monkeypatch.chdir(tmp_path)
+    _, params_path = star9_files
+    code = cli.main([command, "--graph", "missing.edges", "--params", str(params_path),
+                     *outputs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    flag = outputs[outputs.index("-") - 1]
+    assert captured.err == f"error: {flag} cannot be '-': stdout carries the summary line\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv", "star.edges"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["enum", "connected", "--pmax", "6"], ["--out"]),
+    (["analyze"], ["--out", "--report-csv"]),
+], ids=["enum", "analyze"])
+def test_commands_without_a_summary_line_write_to_stdout(star9_files, tmp_path, capsys,
+                                                         argv, flags):
+    # analyze may name stdout for both its outputs: the JSON, then the CSV
+    if argv[0] == "analyze":
+        argv = [*argv, "--graph", str(star9_files[0]), "--params", str(star9_files[1])]
+    files = [tmp_path / f"out{k}" for k in range(len(flags))]
+    assert cli.main([*argv, *(x for flag, f in zip(flags, files) for x in (flag, str(f)))]) == 0
+    assert cli.main([*argv, *(x for flag in flags for x in (flag, "-"))]) == 0
+    assert capsys.readouterr().out == "".join(f.read_text() for f in files)
 
 
 def test_reproducible_pipeline_is_byte_identical(star9_files, tmp_path, capsys):
@@ -543,7 +576,7 @@ def test_reproducible_pipeline_is_byte_identical(star9_files, tmp_path, capsys):
     for k in range(2):
         d = tmp_path / f"run{k}"
         d.mkdir()
-        common = ["--graph", str(graph_path), "--reproducible"]
+        common = ["--graph", str(graph_path)]
         codes = [
             cli.main(["analyze", *common, "--params", str(params_path),
                       "--out", str(d / "report.json"), "--report-csv", str(d / "report.csv")]),
@@ -563,8 +596,7 @@ def test_reproducible_pipeline_is_byte_identical(star9_files, tmp_path, capsys):
 class TestEnum:
     def test_connected_table(self, tmp_path):
         out = tmp_path / "c.csv"
-        assert cli.main(["enum", "connected", "--pmax", "10", "--out", str(out),
-                         "--reproducible"]) == 0
+        assert cli.main(["enum", "connected", "--pmax", "10", "--out", str(out)]) == 0
         header, rows = read_csv_rows(out)
         assert header == ["p", "C_p"]
         assert [int(r[1]) for r in rows] == [
@@ -596,7 +628,7 @@ class TestEnum:
     def test_rarity_sweep_decreasing(self, tmp_path):
         out = tmp_path / "r.csv"
         assert cli.main(["enum", "rarity", "--r", "3", "--nmax", "40",
-                         "--out", str(out), "--reproducible"]) == 0
+                         "--out", str(out)]) == 0
         header, rows = read_csv_rows(out)
         assert header == ["n", "ln_L", "ln_G", "ln_ratio"]
         ratios = [float(r[3]) for r in rows]
@@ -608,7 +640,7 @@ class TestEnum:
             for flag in ("--degree", "--r"):
                 out = tmp_path / f"{table}{flag}.csv"
                 assert cli.main(["enum", table, flag, "4", "--nmax", "30",
-                                 "--out", str(out), "--reproducible"]) == 0
+                                 "--out", str(out)]) == 0
                 outs[table, flag] = out.read_bytes()
             assert outs[table, "--degree"] == outs[table, "--r"]
         _, rows = read_csv_rows(tmp_path / "rarity--degree.csv")
@@ -643,8 +675,7 @@ class TestEnum:
     def test_reproducible_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
-            cli.main(["enum", "connected", "--pmax", "8", "--out", str(out),
-                      "--reproducible"])
+            cli.main(["enum", "connected", "--pmax", "8", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
 

@@ -335,9 +335,9 @@ class TestCsvOutputs:
         params = NodeParams.homogeneous(10, 0.5, 0.2, 1.0)
         rep = select_nodes(STAR9, params)
         tuned = tune_betas(STAR9, params, rep)
-        write_selection_report(rep, STAR9, params, tmp_path / "r.csv", header_comment="c")
-        write_control_plan(rep, params, tuned, tmp_path / "p.csv", header_comment="c")
-        for name, rows in (("r.csv", 12), ("p.csv", 3)):
+        write_selection_report(rep, STAR9, params, tmp_path / "r.csv")
+        write_control_plan(rep, params, tuned, tmp_path / "p.csv")
+        for name, rows in (("r.csv", 11), ("p.csv", 2)):
             data = (tmp_path / name).read_bytes()
             assert b"\r" not in data
             assert data.count(b"\n") == rows and data.endswith(b"\n")

@@ -90,7 +90,7 @@ class TestNodeParams:
             np.array([0.2, 0.5, 1.0]), np.array([0.0, 0.3, 1.0]), np.array([0.9, 0.0, 0.5])
         )
         path = tmp_path / "params.csv"
-        save_params(p, path, header_comment="stamp")
+        save_params(p, path)
         q = load_params(path)
         assert np.array_equal(p.mu, q.mu)
         assert np.array_equal(p.beta, q.beta)

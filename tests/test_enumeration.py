@@ -251,7 +251,7 @@ def rarity_column(tmp_path, r):
     """{n: ln_ratio} from the ``enum rarity`` table at degree r, n <= 60."""
     out = tmp_path / f"rarity{r}.csv"
     assert cli.main(["enum", "rarity", "--degree", str(r), "--nmax", "60",
-                     "--out", str(out), "--reproducible"]) == 0
+                     "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["n", "ln_L", "ln_G", "ln_ratio"]

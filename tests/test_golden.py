@@ -76,7 +76,7 @@ ENUM_TABLES = {
 }
 
 
-# generate <kind> ... --reproducible; ba has more rows than one CSV_CHUNK
+# generate <kind> ...; ba has more rows than one CSV_CHUNK
 GENERATE_DIGESTS = {
     "ring": (["ring", "--n", "7"],
              "afe458951827b1aff7593c2f122e6a38d20722c79498707469c97caa89bf6957"),
@@ -88,13 +88,12 @@ GENERATE_DIGESTS = {
            "d13ad6fe208396546d179506975bff629d5683da84646659e696d174fcb998af"),
 }
 
-# write_graph(Graph(n, edges), comment): pairs reversed, repeated and out of
-# order in, one ``i j`` line per edge with i < j, sorted, out
+# write_graph(Graph(n, edges)): pairs reversed, repeated and out of order
+# in, one ``i j`` line per edge with i < j, sorted, out
 WRITE_GRAPH_BYTES = {
-    "empty": ((0, [], None), b"0\n"),
-    "isolated": ((6, [(4, 1), (3, 1), (1, 4)], None), b"6\n1 3\n1 4\n"),
-    "no-edges": ((3, [], None), b"3\n"),
-    "comment": ((4, [(3, 2), (0, 3), (1, 0)], "a note"), b"# a note\n4\n0 1\n0 3\n2 3\n"),
+    "empty": ((0, []), b"0\n"),
+    "isolated": ((6, [(4, 1), (3, 1), (1, 4)]), b"6\n1 3\n1 4\n"),
+    "no-edges": ((3, []), b"3\n"),
 }
 
 
@@ -110,11 +109,11 @@ def run_pipeline(d):
     g, p = str(d / "g.edges"), str(d / "params.csv")
     return [
         cli.main(["analyze", "--graph", g, "--params", p, "--out", str(d / "r.json"),
-                  "--report-csv", str(d / "report.csv"), "--reproducible"]),
+                  "--report-csv", str(d / "report.csv")]),
         cli.main(["control", "--graph", g, "--params", p, "--params-out", str(d / "tuned.csv"),
-                  "--plan-out", str(d / "plan.csv"), "--reproducible"]),
+                  "--plan-out", str(d / "plan.csv")]),
         cli.main(["simulate", "--graph", g, "--params", str(d / "tuned.csv"),
-                  "--p0", "uniform:0.25", "--out", str(d / "trajectory.csv"), "--reproducible"]),
+                  "--p0", "uniform:0.25", "--out", str(d / "trajectory.csv")]),
     ]
 
 
@@ -143,7 +142,7 @@ def test_homogeneous_ring_trajectory_bytes(tmp_path, p0):
     out = tmp_path / "trajectory.csv"
     assert cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
                      "--params", str(tmp_path / "params.csv"), "--p0", p0,
-                     "--out", str(out), "--reproducible"]) == 0
+                     "--out", str(out)]) == 0
     assert sha256(out) == RING_DIGESTS[p0]
 
 
@@ -151,7 +150,7 @@ def test_homogeneous_ring_trajectory_bytes(tmp_path, p0):
 def test_enum_table_bytes(tmp_path, name):
     args, digest = ENUM_TABLES[name]
     out = tmp_path / "table.csv"
-    assert cli.main(["enum", *args, "--out", str(out), "--reproducible"]) == 0
+    assert cli.main(["enum", *args, "--out", str(out)]) == 0
     assert sha256(out) == digest
 
 
@@ -159,12 +158,12 @@ def test_enum_table_bytes(tmp_path, name):
 def test_generate_edge_list_bytes(tmp_path, kind):
     args, digest = GENERATE_DIGESTS[kind]
     out = tmp_path / "g.edges"
-    assert cli.main(["generate", *args, "--out", str(out), "--reproducible"]) == 0
+    assert cli.main(["generate", *args, "--out", str(out)]) == 0
     assert sha256(out) == digest
 
 
 @pytest.mark.parametrize("name", sorted(WRITE_GRAPH_BYTES))
 def test_write_graph_bytes(tmp_path, name):
-    (n, edges, comment), expected = WRITE_GRAPH_BYTES[name]
-    write_graph(Graph(n, edges), tmp_path / "g.edges", comment=comment)
+    (n, edges), expected = WRITE_GRAPH_BYTES[name]
+    write_graph(Graph(n, edges), tmp_path / "g.edges")
     assert (tmp_path / "g.edges").read_bytes() == expected

@@ -57,7 +57,7 @@ def test_help_leaves_numpy_unloaded():
 ], ids=lambda t: t[0])
 def test_enum_table_leaves_numpy_unloaded(tmp_path, table):
     out = tmp_path / "table.csv"
-    done = run_python("-c", RUN_CLI, "enum", *table, "--out", str(out), "--reproducible")
+    done = run_python("-c", RUN_CLI, "enum", *table, "--out", str(out))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
     assert len(out.read_text().splitlines()) > 1

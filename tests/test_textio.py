@@ -95,9 +95,8 @@ def test_write_csv_number_format(tmp_path):
     out = tmp_path / "t.csv"
     floats = np.array([1e16, 9999999999999998.0, 5e-324, 2.2250738585072014e-308, 0.1, -0.0])
     ints = [2**64, -(2**70) - 1, 0, 7, -3, 1]
-    write_csv(out, "k,x,n,s", (range(6), floats, ints, ["", "a", "", "", "", ""]), "note")
+    write_csv(out, "k,x,n,s", (range(6), floats, ints, ["", "a", "", "", "", ""]))
     assert out.read_text() == (
-        "# note\n"
         "k,x,n,s\n"
         "0,1e+16,18446744073709551616,\n"
         "1,9999999999999998.0,-1180591620717411303425,a\n"
