@@ -23,11 +23,10 @@ import math
 import os
 import random
 import sys
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from . import enumeration
-from .textio import csv_writer, open_output, read_node_table, write_csv
+from .textio import open_output, read_node_table, state_writer, write_csv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -177,8 +176,7 @@ def cmd_simulate(args) -> int:
     params = dynamics.load_params(args.params)
     p0 = parse_p0_spec(args.p0, g.n)
     est = dynamics.spectral_radius(g, params)
-    n = g.n
-    with csv_writer(args.out, "t,node,p") as put:
+    with state_writer(args.out, g.n) as put:
         traj = dynamics.simulate(
             g,
             params,
@@ -186,7 +184,7 @@ def cmd_simulate(args) -> int:
             max_steps=args.max_steps,
             extinct_tol=args.tol,
             endemic_window=args.endemic_window,
-            sink=lambda t, p: put((repeat(t, n), range(n), p)),
+            sink=put,
         )
     print(f"{traj.verdict},{traj.steps_to_verdict},{est.sigma!r}")
     return 0 if traj.verdict != dynamics.VERDICT_UNDECIDED else 1

@@ -16,9 +16,9 @@ certifies it with a Collatz-Wielandt bracket lower <= sigma(H) <= upper;
 the stable/marginal/unstable verdict is read from that bracket.
 
 simulate iterates the exact map to a verdict holding one state at a time:
-each state goes to a caller's sink (the CLI's writes it as trajectory CSV
-rows) and is then dropped, so a run's memory is O(n + m) whatever its step
-count.  Apart from that sink, all functions are pure; states are plain
+each state goes to a caller's sink (the CLI's is textio.state_writer's put,
+which writes it as trajectory CSV rows) and is then dropped, so a run's
+memory is O(n + m) whatever its step count.  Apart from that sink, all functions are pure; states are plain
 float arrays in [0, 1]^n.
 """
 

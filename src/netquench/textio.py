@@ -1,20 +1,22 @@
 """Text I/O shared by every command: one line reader and one node-table
-reader for every input file, one stream opener, and one row writer
-(write_rows) that formats the data rows of every file written: each CSV,
-through csv_writer (a block at a time) or write_csv, and each edge list.
+reader for every input file, one stream opener, and two writers that turn
+numbers into text.  write_rows formats the data rows of every table
+(write_csv) and edge list; state_writer writes simulate's ``t,node,p``
+trajectory, one state at a time, with the bytes write_rows would give.
 Files are UTF-8 with ``\\n`` line endings; a CSV is the header line, then
-the data rows.  Only write_rows turns numbers into text: ints in decimal,
-floats as Python's shortest round-trip repr (``1e-05``, ``0.0001``,
-``1e+16``, ``5e-324``).  A float64 array column is formatted once per run
-of equal entries, so its cost scales with the number of runs (one per
-state of a homogeneous simulation) rather than with its length; the bytes
-are the same either way.
+the data rows.  Ints are written in decimal, floats as Python's shortest
+round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).  A float64
+array is formatted once per run of equal entries, so its cost scales with
+the number of runs (one per state of a homogeneous simulation) rather than
+with its length; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
+import stat
 import sys
 from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
@@ -22,8 +24,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 if TYPE_CHECKING:
     import numpy as np
 
-# Rows write_rows formats with one ``%`` and one write: enough to spread the
-# per-call cost, few enough to bound the text held at once.
+# Rows a writer formats with one ``%`` or join and one write: enough to
+# spread the per-call cost, few enough to bound the text held at once.
 CSV_CHUNK = 256
 
 
@@ -78,11 +80,12 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
 @contextlib.contextmanager
 def open_output(path) -> Iterator[TextIO]:
     """A text stream writing to ``path``; ``"-"`` is stdout, and an open text
-    stream is itself, both left open.  If the body raises, a file opened here
-    is closed and deleted before the exception propagates; what has already
-    gone to stdout cannot be taken back.  Nest one open_output per output to
-    make a command's files all-or-nothing: each is opened before any is
-    written, and an error in any deletes them all."""
+    stream is itself, both left open.  If the body raises, a regular file
+    opened here is closed and deleted before the exception propagates (any
+    other, such as a device, is only closed); what has already gone to
+    stdout cannot be taken back.  Nest one open_output per output to make a
+    command's files all-or-nothing: each is opened before any is written,
+    and an error in any deletes them all."""
     if path == "-" or hasattr(path, "write"):
         yield sys.stdout if path == "-" else path
         return
@@ -90,27 +93,40 @@ def open_output(path) -> Iterator[TextIO]:
         try:
             yield fh
         except BaseException:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             fh.close()
-            os.remove(path)
+            if regular:  # never a device such as /dev/null
+                os.remove(path)
             raise
 
 
-def _column_values(c) -> Iterable:
-    """What ``%s`` formats for column ``c``: a list or iterator as it is, any
-    other array as its ``tolist()``.  A float64 array gives the repr of the
-    first entry of each run of equal entries, repeated over the run; runs
-    compare bit patterns, read as int64 (a uint64 compare would page in
-    64 kB more of numpy), so 0.0 and -0.0 or two NaN payloads never merge.
-    When more than half the entries start a run, it is ``tolist()`` too."""
-    if getattr(c, "dtype", None) != "float64":
-        return c.tolist() if hasattr(c, "tolist") else c
+def _run_starts(c) -> np.ndarray | None:
+    """The index of the first entry of each run of equal entries of the
+    float64 array ``c``, or None when more than half the entries start a run
+    (formatting each entry then costs less).  Runs compare bit patterns, read
+    as int64 (a uint64 compare would page in 64 kB more of numpy), so 0.0 and
+    -0.0 or two NaN payloads never merge."""
     import numpy as np
 
     bits = c.view(np.int64)
     starts = bits[1:] != bits[:-1]
     if 2 * (np.count_nonzero(starts) + 1) > c.size:
+        return None
+    return np.flatnonzero(np.concatenate(([True], starts)))
+
+
+def _column_values(c) -> Iterable:
+    """What ``%s`` formats for column ``c``: a list or iterator as it is, any
+    other array as its ``tolist()``.  A float64 array with few runs (see
+    _run_starts) gives the repr of the first entry of each run, repeated over
+    the run."""
+    if getattr(c, "dtype", None) != "float64":
+        return c.tolist() if hasattr(c, "tolist") else c
+    import numpy as np
+
+    firsts = _run_starts(c)
+    if firsts is None:
         return c.tolist()
-    firsts = np.flatnonzero(np.concatenate(([True], starts)))
     lengths = np.diff(firsts, append=c.size)
     return chain.from_iterable(map(repeat, map(repr, c[firsts].tolist()), lengths.tolist()))
 
@@ -128,27 +144,55 @@ def write_rows(fh, row: str, block: tuple) -> None:
         fh.write((row * (len(chunk) // width)) % chunk)
 
 
-@contextlib.contextmanager
-def csv_writer(path, header: str) -> Iterator[Callable[[tuple], None]]:
-    """Open ``path`` (see open_output), write the header line, and yield
-    ``put(block)``, which writes the rows of one block (see write_rows), one
-    column per header field; an empty string is an empty field.  A table
-    streamed a block at a time holds one block's columns and one chunk of
-    text.  If the body raises, the file is deleted."""
+def write_csv(path, header: str, block: tuple) -> None:
+    """Write the table ``block`` (see write_rows), one column per header
+    field, to ``path`` (see open_output) after the header line; an empty
+    string is an empty field.  If writing fails, the file is deleted."""
     width = len(header.split(","))
-    row = ",".join(["%s"] * width) + "\n"
+    if len(block) != width:
+        raise ValueError(f"{len(block)} columns for the {width} fields of {header!r}")
     with open_output(path) as fh:
         fh.write(header + "\n")
+        write_rows(fh, ",".join(["%s"] * width) + "\n", block)
 
-        def put(block: tuple) -> None:
-            if len(block) != width:
-                raise ValueError(f"{len(block)} columns for the {width} fields of {header!r}")
-            write_rows(fh, row, block)
+
+@contextlib.contextmanager
+def state_writer(path, n: int) -> Iterator[Callable[[int, np.ndarray], None]]:
+    """Open ``path`` (see open_output), write the header ``t,node,p``, and
+    yield ``put(t, p)``, which writes the rows ``t,i,p[i]`` for i = 0..n-1 of
+    the float64 state ``p``: the bytes write_rows gives the block
+    ``(repeat(t, n), range(n), p)``.  The n prefixes ``i,`` are formatted once
+    per file.  A state with few runs (see _run_starts) is cut at each run and
+    each CSV_CHUNK rows, and a piece of value ``v`` is one join of its
+    prefixes; any other state is written CSV_CHUNK rows per join of prefix +
+    repr.  So the text held at once is one chunk's.  A state whose length is
+    not n raises ValueError; if the body raises, the file is deleted."""
+    import numpy as np
+
+    nodes = [f"{i}," for i in range(n)]
+    chunk_starts = np.arange(0, n, CSV_CHUNK)
+    with open_output(path) as fh:
+        fh.write("t,node,p\n")
+
+        def put(t: int, p: np.ndarray) -> None:
+            if len(p) != n:
+                raise ValueError(f"a state of {len(p)} entries for {n} nodes")
+            head = f"{t},"
+            newline = "\n" + head
+            starts = _run_starts(p)
+            if starts is None:
+                for a in range(0, n, CSV_CHUNK):
+                    b = a + CSV_CHUNK
+                    rows = map(operator.add, nodes[a:b], map(repr, p[a:b].tolist()))
+                    fh.write(head + newline.join(rows) + "\n")
+                return
+            cuts = np.union1d(starts, chunk_starts)
+            per_chunk = np.diff(np.searchsorted(cuts, chunk_starts), append=cuts.size)
+            values = map(repr, p[cuts].tolist())
+            cuts = cuts.tolist()
+            pieces = (head + (v + newline).join(nodes[a:b]) + v + "\n"
+                      for a, b, v in zip(cuts, [*cuts[1:], n], values))
+            for k in per_chunk.tolist():
+                fh.write("".join(islice(pieces, k)))
 
         yield put
-
-
-def write_csv(path, header: str, block: tuple) -> None:
-    """Write a whole table: csv_writer's header, then ``block``."""
-    with csv_writer(path, header) as put:
-        put(block)

@@ -27,7 +27,7 @@ from netquench.graphs import (
     generate_ring,
 )
 from netquench.oracles import dense_bound_matrix, dense_spectral_radius, non_infection_probability
-from netquench.textio import csv_writer
+from netquench.textio import state_writer
 
 
 STAR9 = Graph(10, [(0, i) for i in range(1, 10)])
@@ -220,9 +220,8 @@ class TestSimulate:
         g = Graph(2, [(0, 1)])
         params = NodeParams.homogeneous(2, 0.9, 0.0, 0.0)
         out = tmp_path / "traj.csv"
-        with csv_writer(out, "t,node,p") as put:
-            traj = simulate(g, params, np.array([0.5, 0.1]),
-                            sink=lambda t, p: put((itertools.repeat(t, 2), range(2), p)))
+        with state_writer(out, 2) as put:
+            traj = simulate(g, params, np.array([0.5, 0.1]), sink=put)
         lines = out.read_text().splitlines()
         assert lines[0] == "t,node,p"
         assert lines[1] == "0,0,0.5"
@@ -253,12 +252,12 @@ class TestSimulate:
         out = tmp_path / "traj.csv"
 
         def sink(t, p):
-            put((itertools.repeat(t, 10), range(10), p))
+            put(t, p)
             if t == 3:
                 raise RuntimeError("sink failed at t = 3")
 
         with pytest.raises(RuntimeError, match="t = 3"):
-            with csv_writer(out, "t,node,p") as put:
+            with state_writer(out, 10) as put:
                 simulate(g, params, np.full(10, 0.5), sink=sink)
         assert not out.exists()
 

@@ -1,7 +1,9 @@
 """Byte pins on every file the package writes: one small fixed instance run
 through save_params and the analyze, control and simulate commands, a
 homogeneous ring simulated from two starts (every state one repeated value;
-runs of exact zeros), each enum table at small sizes, and the edge lists of
+runs of exact zeros), a homogeneous 3-regular graph simulated from one
+infected node (states of a few runs, of distinct values, and of a mix of
+both), each enum table at small sizes, and the edge lists of
 every generator and of write_graph.  A digest changes only when an output
 format changes on purpose."""
 
@@ -35,6 +37,11 @@ RING_DIGESTS = {
     "uniform:0.25": "ac07ce5e44f423ed0514707e69572b93be4217c4ccb436ed9502ec105c7118f0",
     "single:0:1": "fcba307357d2d34808a35b23f02468bbd349d8e2bbba3c9b82ab7fc635a6898b",
 }
+
+# simulate on `generate regular --n 300 --r 3 --seed 5` (mu = 0.8, beta = 0.3,
+# r = 1) from --p0 single:0:0.5: endemic after 424 steps; 244 of the 425
+# states have more than n/2 runs of equal values, the rest fewer
+REGULAR_SINGLE_DIGEST = "d9c228ae9d38673fab43019a86dfec311f3883c5b6ca58c1b7d1b90ac5128e55"
 
 ENUM_TABLES = {
     "connected": (
@@ -144,6 +151,16 @@ def test_homogeneous_ring_trajectory_bytes(tmp_path, p0):
                      "--params", str(tmp_path / "params.csv"), "--p0", p0,
                      "--out", str(out)]) == 0
     assert sha256(out) == RING_DIGESTS[p0]
+
+
+def test_regular_trajectory_from_one_node_bytes(tmp_path):
+    edges, params, out = (str(tmp_path / name) for name in ("g.edges", "params.csv", "t.csv"))
+    assert cli.main(["generate", "regular", "--n", "300", "--r", "3", "--seed", "5",
+                     "--out", edges]) == 0
+    save_params(NodeParams.homogeneous(300, 0.8, 0.3, 1.0), params)
+    assert cli.main(["simulate", "--graph", edges, "--params", params,
+                     "--p0", "single:0:0.5", "--out", out]) == 0
+    assert sha256(tmp_path / "t.csv") == REGULAR_SINGLE_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(ENUM_TABLES))

@@ -1,7 +1,11 @@
 """The shared input rules: every reader skips blank and ``#`` lines (indented
-ones too) and names the line of a malformed row; and the one CSV writer's
-number format, on its per-entry path and its run-of-equal-floats path."""
+ones too) and names the line of a malformed row; the row writer's number
+format, on its per-entry path and its run-of-equal-floats path; the
+trajectory writer's bytes against the row writer's; and the output opener's
+clean-up after a failed write."""
 
+import io
+import os
 from itertools import repeat
 
 import numpy as np
@@ -10,7 +14,9 @@ import pytest
 from netquench.cli import parse_p0_spec
 from netquench.dynamics import load_params
 from netquench.graphs import Graph, read_graph
-from netquench.textio import CSV_CHUNK, _column_values, csv_writer, data_lines, write_csv
+from netquench.textio import (
+    CSV_CHUNK, _column_values, data_lines, open_output, state_writer, write_csv, write_rows,
+)
 
 # per format: the header (or vertex count) line and one valid row for node 0
 FORMATS = {
@@ -107,24 +113,28 @@ def test_write_csv_number_format(tmp_path):
     )
 
 
-def test_csv_writer_blocks_follow_each_other(tmp_path):
+def test_state_writer_states_follow_each_other(tmp_path):
     out = tmp_path / "t.csv"
-    n = CSV_CHUNK + 3  # a block longer than one chunk
-    with csv_writer(out, "t,node,p") as put:
+    n = CSV_CHUNK + 3  # a state longer than one chunk
+    with state_writer(out, n) as put:
         for t in range(2):
-            put((repeat(t, n), range(n), np.full(n, t / 2)))
+            put(t, np.full(n, t / 2))
     lines = out.read_text().splitlines()
     assert lines[0] == "t,node,p" and len(lines) == 1 + 2 * n
     assert lines[1] == "0,0,0.0" and lines[n] == f"0,{n - 1},0.0"
     assert lines[n + 1] == "1,0,0.5" and lines[-1] == f"1,{n - 1},0.5"
 
 
-@pytest.mark.parametrize("blocks", [[], [(np.array([], dtype=np.int64), [], range(0))]])
-def test_csv_writer_empty_table_writes_the_header(tmp_path, blocks):
+def test_state_writer_with_no_state_writes_the_header(tmp_path):
     out = tmp_path / "t.csv"
-    with csv_writer(out, "node,beta_old,beta_new") as put:
-        for block in blocks:
-            put(block)
+    with state_writer(out, 5):
+        pass
+    assert out.read_bytes() == b"t,node,p\n"
+
+
+def test_write_csv_empty_table_writes_the_header(tmp_path):
+    out = tmp_path / "t.csv"
+    write_csv(out, "node,beta_old,beta_new", (np.array([], dtype=np.int64), [], range(0)))
     assert out.read_bytes() == b"node,beta_old,beta_new\n"
 
 
@@ -181,3 +191,101 @@ def test_float_runs_near_half_the_entries(tmp_path, runs):
     col = column_with_runs(runs, 40, seed=runs)
     assert isinstance(_column_values(col), list) == (runs > 20)
     assert float_column_lines(tmp_path, col) == ["%s" % v for v in col.tolist()]
+
+
+def state_writer_bytes(states, n):
+    out = io.StringIO()
+    with state_writer(out, n) as put:
+        for t, p in states:
+            put(t, p)
+    return out.getvalue()
+
+
+def write_rows_bytes(states, n):
+    out = io.StringIO()
+    out.write("t,node,p\n")
+    for t, p in states:
+        write_rows(out, "%s,%s,%s\n", (repeat(t, n), range(n), p))
+    return out.getvalue()
+
+
+def strided_state(n):
+    table = np.repeat(column_with_runs(n // 8, n, seed=5), 2).reshape(n, 2)
+    table[:, 1] *= -1.0
+    return table[:, 1]
+
+
+def read_only_state(n):
+    state = column_with_runs(n // 8, n, seed=6)
+    state.setflags(write=False)
+    return state
+
+
+# name: (n, a function of n giving the states); each is written at t = 0, 1
+# and 123456 (three states in one file)
+STATES = {
+    "all-distinct": (600, lambda n: np.random.default_rng(1).random(n)),
+    "one-value": (600, lambda n: np.full(n, 0.1)),
+    "one-run-across-chunks": (3 * CSV_CHUNK, lambda n: np.repeat([0.5, 1e-05, 5e-324],
+                                                                  [10, 2 * CSV_CHUNK + 5, CSV_CHUNK - 15])),
+    "runs-ending-at-chunk-starts": (3 * CSV_CHUNK, lambda n: np.repeat([0.25, 0.75, 0.0],
+                                                                        [CSV_CHUNK, CSV_CHUNK, CSV_CHUNK])),
+    "n=1": (1, lambda n: np.array([0.3])),
+    "n=CSV_CHUNK-1": (CSV_CHUNK - 1, lambda n: column_with_runs(7, n, seed=1)),
+    "n=CSV_CHUNK": (CSV_CHUNK, lambda n: column_with_runs(7, n, seed=2)),
+    "n=CSV_CHUNK+1": (CSV_CHUNK + 1, lambda n: column_with_runs(7, n, seed=3)),
+    "signed-zeros": (40, lambda n: np.tile([0.0, -0.0, -0.0, 0.0, 0.0], 8)),
+    "non-finite": (40, lambda n: np.repeat([np.nan, np.inf, -np.inf, np.nan], 10)),
+    # the columns of test_float_runs_near_half_the_entries: both sides of the
+    # switch from runs to one entry at a time
+    "runs-below-half": (40, lambda n: column_with_runs(19, n, seed=19)),
+    "runs-at-half": (40, lambda n: column_with_runs(20, n, seed=20)),
+    "runs-above-half": (40, lambda n: column_with_runs(21, n, seed=21)),
+    "strided": (600, strided_state),
+    "read-only": (600, read_only_state),
+}
+
+
+@pytest.mark.parametrize("name", list(STATES))
+def test_state_writer_matches_write_rows(name):
+    n, make = STATES[name]
+    state = make(n)
+    states = [(0, state), (1, state[::-1]), (123456, np.full(n, 0.5))]
+    assert len(state) == n
+    assert state_writer_bytes(states, n) == write_rows_bytes(states, n)
+
+
+@pytest.mark.parametrize("name", ["all-distinct", "one-value", "one-run-across-chunks"])
+def test_state_writer_writes_at_most_one_chunk_at_a_time(name):
+    n, make = STATES[name]
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text.count("\n"))
+
+    with state_writer(Recorder(), n) as put:
+        put(0, make(n))
+    assert sum(writes) == 1 + n and max(writes) <= CSV_CHUNK
+
+
+@pytest.mark.parametrize("length", [9, 11])
+def test_state_of_the_wrong_length_leaves_no_file(tmp_path, length):
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=f"a state of {length} entries for 10 nodes"):
+        with state_writer(out, 10) as put:
+            put(0, np.full(10, 0.5))
+            put(1, np.full(length, 0.5))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("device", [False, True])
+def test_failed_write_deletes_only_a_regular_file(tmp_path, monkeypatch, device):
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)  # records; unlinks nothing
+    path = os.devnull if device else str(tmp_path / "t.csv")
+    with pytest.raises(RuntimeError, match="write failed"):
+        with open_output(path) as fh:
+            fh.write("x\n")
+            raise RuntimeError("write failed")
+    assert removed == ([] if device else [path])
