@@ -138,7 +138,7 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
 
 
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_edge_list(fh)
 
 

@@ -1,24 +1,23 @@
 """Text I/O shared by every command: one line reader and one node-table
-reader for every input file, one stream opener, and two writers that turn
+reader for every input file, one stream opener, and one writer that turns
 numbers into text.  write_rows formats the data rows of every table
-(write_csv) and edge list; state_writer writes simulate's ``t,node,p``
-trajectory, one state at a time, with the bytes write_rows would give.
+(write_csv), edge list and simulate trajectory (state_writer, which hands it
+one state at a time with each node's ``i,`` formatted once per file).
 Files are UTF-8 with ``\\n`` line endings; a CSV is the header line, then
 the data rows.  Ints are written in decimal, floats as Python's shortest
-round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).  A float64
-array is formatted once per run of equal entries, so its cost scales with
-the number of runs (one per state of a homogeneous simulation) rather than
-with its length; the bytes are the same either way.
+round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).  When the
+columns after the first are numpy arrays, each run of rows that repeat them
+is formatted once and written as one join, so a table's cost scales with
+its runs (one per state of a homogeneous simulation) rather than with its
+rows; the bytes are the same either way.
 """
 
 from __future__ import annotations
 
 import contextlib
-import operator
 import os
 import stat
 import sys
-from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 if TYPE_CHECKING:
@@ -49,7 +48,7 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
     linenos: list[int] = []
     ids: list[int] = []
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = data_lines(fh, ",")
         lineno, fields = next(lines, (1, None))
         if fields is None or [f.strip() for f in fields] != header:
@@ -100,48 +99,64 @@ def open_output(path) -> Iterator[TextIO]:
             raise
 
 
-def _run_starts(c) -> np.ndarray | None:
-    """The index of the first entry of each run of equal entries of the
-    float64 array ``c``, or None when more than half the entries start a run
-    (formatting each entry then costs less).  Runs compare bit patterns, read
-    as int64 (a uint64 compare would page in 64 kB more of numpy), so 0.0 and
-    -0.0 or two NaN payloads never merge."""
+def _run_starts(columns, n: int) -> np.ndarray | None:
+    """The first row of each joint run of ``columns``, float64 or int64 arrays
+    of ``n`` entries: row 0, every CSV_CHUNK-th row, and each row where any
+    column changes its bit pattern (read as int64; a uint64 compare would page
+    in 64 kB more of numpy), so 0.0 and -0.0 or two NaN payloads never merge.
+    None when more than half the rows start a run (formatting row by row then
+    costs less)."""
     import numpy as np
 
-    bits = c.view(np.int64)
-    starts = bits[1:] != bits[:-1]
-    if 2 * (np.count_nonzero(starts) + 1) > c.size:
+    starts = np.zeros(n, dtype=bool)
+    for c in columns:
+        bits = c.view(np.int64)
+        starts[1:] |= bits[1:] != bits[:-1]
+    starts[::CSV_CHUNK] = True
+    if 2 * np.count_nonzero(starts) > n:
         return None
-    return np.flatnonzero(np.concatenate(([True], starts)))
-
-
-def _column_values(c) -> Iterable:
-    """What ``%s`` formats for column ``c``: a list or iterator as it is, any
-    other array as its ``tolist()``.  A float64 array with few runs (see
-    _run_starts) gives the repr of the first entry of each run, repeated over
-    the run."""
-    if getattr(c, "dtype", None) != "float64":
-        return c.tolist() if hasattr(c, "tolist") else c
-    import numpy as np
-
-    firsts = _run_starts(c)
-    if firsts is None:
-        return c.tolist()
-    lengths = np.diff(firsts, append=c.size)
-    return chain.from_iterable(map(repeat, map(repr, c[firsts].tolist()), lengths.tolist()))
+    return np.flatnonzero(starts)
 
 
 def write_rows(fh, row: str, block: tuple) -> None:
     """Write the rows of ``block`` to the open text stream ``fh``.  A block
     is a tuple of equal-length columns (numpy arrays, ranges, lists,
-    iterators; see _column_values); row ``k`` is ``row``, a format with one
-    ``%s`` per column, applied to entry ``k`` of each column.  Rows are
-    formatted CSV_CHUNK at a time, by one ``%`` per chunk."""
-    columns = [_column_values(c) for c in block]
-    width = len(columns)
-    values = chain.from_iterable(zip(*columns, strict=True))
-    while chunk := tuple(islice(values, CSV_CHUNK * width)):
-        fh.write((row * (len(chunk) // width)) % chunk)
+    iterators; unequal lengths raise ValueError); row ``k`` is ``row``, a
+    format with one ``%s`` per column and no literal ``%`` before the first,
+    applied to entry ``k`` of each column (an array through ``tolist()``).
+    When every column after the first is a float64 or int64 array with few
+    joint runs (see _run_starts), the rest of a run's rows is one text, and
+    the run is one join of its first-column texts (str entries as they are).
+    Otherwise rows are formatted by one ``%`` per CSV_CHUNK rows.  The bytes
+    are the same either way, and each write holds at most CSV_CHUNK rows."""
+    columns = [c if hasattr(c, "__len__") else list(c) for c in block]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns of {[len(c) for c in columns]} rows in one block")
+    first, *others = columns
+    arrays = others and all(getattr(c, "dtype", None) in ("float64", "int64") for c in others)
+    starts = _run_starts(others, n) if arrays else None
+    if starts is None:
+        columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+        width = len(columns)
+        for a in range(0, n, CSV_CHUNK):
+            b = min(a + CSV_CHUNK, n)
+            chunk = [None] * ((b - a) * width)
+            for j, c in enumerate(columns):
+                chunk[j::width] = c[a:b]
+            fh.write((row * (b - a)) % tuple(chunk))
+        return
+    head, rest = row.split("%s", 1)
+    if not (n and type(first[0]) is str):
+        first = list(map(str, first.tolist() if hasattr(first, "tolist") else first))
+    cuts = starts.tolist()
+    tails = map(rest.__mod__, zip(*[c[starts].tolist() for c in others]))
+    pieces = []
+    for a, b, tail in zip(cuts, [*cuts[1:], n], tails):
+        pieces.append(head + (tail + head).join(first[a:b]) + tail)
+        if b % CSV_CHUNK == 0 or b == n:
+            fh.write("".join(pieces))
+            pieces.clear()
 
 
 def write_csv(path, header: str, block: tuple) -> None:
@@ -160,39 +175,16 @@ def write_csv(path, header: str, block: tuple) -> None:
 def state_writer(path, n: int) -> Iterator[Callable[[int, np.ndarray], None]]:
     """Open ``path`` (see open_output), write the header ``t,node,p``, and
     yield ``put(t, p)``, which writes the rows ``t,i,p[i]`` for i = 0..n-1 of
-    the float64 state ``p``: the bytes write_rows gives the block
-    ``(repeat(t, n), range(n), p)``.  The n prefixes ``i,`` are formatted once
-    per file.  A state with few runs (see _run_starts) is cut at each run and
-    each CSV_CHUNK rows, and a piece of value ``v`` is one join of its
-    prefixes; any other state is written CSV_CHUNK rows per join of prefix +
-    repr.  So the text held at once is one chunk's.  A state whose length is
-    not n raises ValueError; if the body raises, the file is deleted."""
-    import numpy as np
-
+    the float64 state ``p`` through write_rows, with the n prefixes ``i,``
+    formatted once per file.  A state whose length is not n raises
+    ValueError; if the body raises, the file is deleted."""
     nodes = [f"{i}," for i in range(n)]
-    chunk_starts = np.arange(0, n, CSV_CHUNK)
     with open_output(path) as fh:
         fh.write("t,node,p\n")
 
         def put(t: int, p: np.ndarray) -> None:
             if len(p) != n:
                 raise ValueError(f"a state of {len(p)} entries for {n} nodes")
-            head = f"{t},"
-            newline = "\n" + head
-            starts = _run_starts(p)
-            if starts is None:
-                for a in range(0, n, CSV_CHUNK):
-                    b = a + CSV_CHUNK
-                    rows = map(operator.add, nodes[a:b], map(repr, p[a:b].tolist()))
-                    fh.write(head + newline.join(rows) + "\n")
-                return
-            cuts = np.union1d(starts, chunk_starts)
-            per_chunk = np.diff(np.searchsorted(cuts, chunk_starts), append=cuts.size)
-            values = map(repr, p[cuts].tolist())
-            cuts = cuts.tolist()
-            pieces = (head + (v + newline).join(nodes[a:b]) + v + "\n"
-                      for a, b, v in zip(cuts, [*cuts[1:], n], values))
-            for k in per_chunk.tolist():
-                fh.write("".join(islice(pieces, k)))
+            write_rows(fh, f"{t},%s%s\n", (nodes, p))
 
         yield put

@@ -514,6 +514,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: bad p0 spec '{spec}': {detail}\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("single:1", r"^bad p0 spec 'single:1'; expected single:<node>:<v>$"),
+    ("single:99:0.5", r"^p0 node 99 out of range for n=9$"),
+])
+def test_p0_spec_of_the_wrong_shape_or_node(spec, message):
+    with pytest.raises(ValueError, match=message):
+        cli.parse_p0_spec(spec, 9)
+
+
 @pytest.mark.parametrize("command, output_flags", [
     ("analyze", ["--out", "--report-csv"]),
     ("control", ["--params-out", "--plan-out"]),

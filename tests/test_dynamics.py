@@ -563,3 +563,14 @@ class TestDominationAndStability:
             assert traj.verdict == "extinct"
             tested += 1
         assert tested >= 30
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NodeParams(np.array([]), np.array([]), np.array([])),
+     r"^parameter vectors must be nonempty$"),
+    (lambda: dynamics.as_state(np.zeros((2, 2)), 4), r"^state must have shape \(4,\), got \(2, 2\)$"),
+    (lambda: dynamics.as_state([0.5, 0.5], 4), r"^state must have shape \(4,\), got \(2,\)$"),
+], ids=["empty-params", "state-2d", "state-short"])
+def test_rejected_input_names_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

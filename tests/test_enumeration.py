@@ -275,3 +275,16 @@ class TestRarity:
         assert 9 not in rarity_column(tmp_path, 3)  # n * r odd: no row
         assert cli.main(["enum", "rarity", "--degree", "0", "--out", str(tmp_path / "x.csv")]) == 1
         assert "degree must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_labeled_graphs_with_edges(-1, 0), "order must be nonnegative, got -1"),
+    (lambda: connected_labeled_table(0), "order must be >= 1, got 0"),
+    (lambda: connected_labeled_riordan(0), "order must be >= 1, got 0"),
+    (lambda: connected_labeled_egf_log(0), "order must be >= 1, got 0"),
+    (lambda: bollobas_degree_sequence_count_log([-1, 1]), "degrees must be nonnegative"),
+    (lambda: wright_condition_value(0, 0), "order must be >= 1, got 0"),
+], ids=["edges", "table", "riordan", "egf-log", "degree-sequence", "wright"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -331,3 +331,12 @@ class TestComponents:
     def test_two_triangles(self):
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert component_count(g) == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_edge_list("x\n"), r"^line 1: vertex count is not an integer$"),
+    (lambda: generate_erdos_renyi(5, 1.5, 0), r"^edge probability must lie in \[0, 1\], got 1\.5$"),
+], ids=["vertex-count", "er-probability"])
+def test_rejected_input_names_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -171,3 +171,9 @@ def test_unlabeled_cubic_classes_on_six_vertices():
              if _mask_degrees(6, bits, order) == [3] * 6]
     assert len(cubic) == 70
     assert len({_canonical_form(edges, 6) for edges in cubic}) == 2
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_brute_catalan_rejects_an_index_below_one(n):
+    with pytest.raises(ValueError, match=f"^index must be >= 1, got {n}$"):
+        brute_catalan(n)

@@ -1,6 +1,7 @@
 """The shared input rules: every reader skips blank and ``#`` lines (indented
-ones too) and names the line of a malformed row; the row writer's number
-format, on its per-entry path and its run-of-equal-floats path; the
+ones too), skips a leading byte-order mark, and names the line of a
+malformed row; the row writer's number format, and the bytes of its join
+path (runs of repeated rows) against its per-chunk ``%`` path; the
 trajectory writer's bytes against the row writer's; and the output opener's
 clean-up after a failed write."""
 
@@ -13,9 +14,9 @@ import pytest
 
 from netquench.cli import parse_p0_spec
 from netquench.dynamics import load_params
-from netquench.graphs import Graph, read_graph
+from netquench.graphs import Graph, read_graph, write_graph
 from netquench.textio import (
-    CSV_CHUNK, _column_values, data_lines, open_output, state_writer, write_csv, write_rows,
+    CSV_CHUNK, _run_starts, data_lines, open_output, state_writer, write_csv, write_rows,
 )
 
 # per format: the header (or vertex count) line and one valid row for node 0
@@ -97,6 +98,21 @@ def test_header_is_checked(tmp_path, fmt):
         READERS[fmt](path)
 
 
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_leading_byte_order_mark_is_skipped(tmp_path, fmt):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    head, valid = FORMATS[fmt]
+    results = []
+    for mark in ("", "\ufeff"):
+        path = tmp_path / f"input{len(mark)}.{fmt}"
+        path.write_text(f"{mark}{head}\n{valid}\n", encoding="utf-8")
+        result = READERS[fmt](path)
+        if fmt == "params":
+            result = np.stack([result.mu, result.beta, result.r])
+        results.append(result if fmt == "edges" else result.tolist())
+    assert results[0] == results[1]
+
+
 def test_write_csv_number_format(tmp_path):
     out = tmp_path / "t.csv"
     floats = np.array([1e16, 9999999999999998.0, 5e-324, 2.2250738585072014e-308, 0.1, -0.0])
@@ -138,7 +154,10 @@ def test_write_csv_empty_table_writes_the_header(tmp_path):
     assert out.read_bytes() == b"node,beta_old,beta_new\n"
 
 
-@pytest.mark.parametrize("block", [(range(3), [0.5, 0.25]), (range(2), [0.5, 0.25], [1, 2])])
+@pytest.mark.parametrize("block", [
+    (range(3), [0.5, 0.25]), (range(2), [0.5, 0.25], [1, 2]),
+    (range(3), np.zeros(2)), (range(2), np.zeros(3)),  # an array column of the wrong length
+])
 def test_write_csv_rejects_a_block_that_does_not_fit(tmp_path, block):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", "a,b", block)
@@ -146,12 +165,16 @@ def test_write_csv_rejects_a_block_that_does_not_fit(tmp_path, block):
 
 
 def float_column_lines(tmp_path, col):
-    """The data lines write_csv gives the one-column table of ``col``."""
+    """The data lines write_csv gives the two-column table ``k,col[k]``."""
     out = tmp_path / "x.csv"
-    write_csv(out, "x", (col,))
+    write_csv(out, "k,x", (range(len(col)), col))
     lines = out.read_text().split("\n")
-    assert lines[0] == "x" and lines[-1] == ""
+    assert lines[0] == "k,x" and lines[-1] == ""
     return lines[1:-1]
+
+
+def expected_lines(col):
+    return ["%s,%s" % kv for kv in enumerate(col.tolist())]
 
 
 def column_with_runs(runs, n, seed=0):
@@ -170,9 +193,9 @@ def test_float_runs_write_each_value(tmp_path):
         np.zeros(3), np.full(4, -0.0), np.zeros(2), np.full(3, np.inf), np.full(3, np.nan),
         np.full(2, -np.inf), np.full(5, 5e-324), np.full(long, 0.1), np.full(3, -0.0),
     ])
-    assert not isinstance(_column_values(col), list)  # the run path
-    assert float_column_lines(tmp_path, col) == ["%s" % v for v in col.tolist()]
-    assert float_column_lines(tmp_path, col)[3:9] == ["-0.0"] * 4 + ["0.0"] * 2
+    assert _run_starts([col], len(col)) is not None  # the join path
+    assert float_column_lines(tmp_path, col) == expected_lines(col)
+    assert float_column_lines(tmp_path, col)[3:9] == [f"{k},-0.0" for k in range(3, 7)] + ["7,0.0", "8,0.0"]
 
 
 def test_float_runs_of_strided_and_read_only_columns(tmp_path):
@@ -182,15 +205,71 @@ def test_float_runs_of_strided_and_read_only_columns(tmp_path):
     frozen = table[:, 2].copy()
     frozen.setflags(write=False)
     for col in (strided, frozen):
-        assert float_column_lines(tmp_path, col) == ["%s" % v for v in col.tolist()]
+        assert _run_starts([col], len(col)) is not None
+        assert float_column_lines(tmp_path, col) == expected_lines(col)
 
 
 @pytest.mark.parametrize("runs", [19, 20, 21])
 def test_float_runs_near_half_the_entries(tmp_path, runs):
-    # more than half the entries starting a run: formatted one by one
+    # more than half the rows starting a run: formatted by one % per chunk
     col = column_with_runs(runs, 40, seed=runs)
-    assert isinstance(_column_values(col), list) == (runs > 20)
-    assert float_column_lines(tmp_path, col) == ["%s" % v for v in col.tolist()]
+    assert (_run_starts([col], 40) is None) == (runs > 20)
+    assert float_column_lines(tmp_path, col) == expected_lines(col)
+
+
+def rows_text(block):
+    out = io.StringIO()
+    write_rows(out, ",".join(["%s"] * len(block)) + "\n", block)
+    return out.getvalue()
+
+
+def report_block(n):
+    """A selection report's columns: two degree classes, homogeneous params."""
+    degree = np.repeat(np.array([3, 5], dtype=np.int64), [n // 3, n - n // 3])
+    mu, beta, r = np.full(n, 0.8), np.full(n, 0.3), np.ones(n)
+    margin = mu - beta * r * degree
+    return (range(n), degree, mu, beta, r, margin, (margin <= 0.0).astype(np.int64))
+
+
+# name: (n, a function of n giving a block whose columns after the first
+# are arrays); test_join_path_matches_the_percent_path writes each as given
+# and with its arrays passed as lists
+BLOCKS = {
+    "selection-report": (3 * CSV_CHUNK + 7, report_block),
+    "runs-at-different-rows": (600, lambda n: (
+        range(n), np.repeat([0.1, 0.2, 0.3], [100, 200, 300]),
+        np.repeat(np.array([1, 2], dtype=np.int64), [250, 350]),
+        np.repeat([-0.0, 0.0, np.nan], [50, 500, 50]))),
+    "n=0": (0, lambda n: (range(n), np.zeros(n), np.zeros(n, dtype=np.int64))),
+    "n=1": (1, lambda n: (range(n), np.full(n, 0.5), np.full(n, 7, dtype=np.int64))),
+    "runs-across-chunks": (3 * CSV_CHUNK, lambda n: (
+        range(n), np.repeat([0.5, 1e-05, 5e-324], [10, 2 * CSV_CHUNK + 5, CSV_CHUNK - 15]),
+        np.repeat([2.5, -1.0], [CSV_CHUNK + 1, 2 * CSV_CHUNK - 1]))),
+    "list-of-int-first": (500, lambda n: (
+        [k * k - 7 for k in range(n)], np.repeat([1e16, 0.25], [123, n - 123]),
+        np.full(n, -3, dtype=np.int64))),
+    "int-array-first": (500, lambda n: (
+        np.arange(n, dtype=np.int64)[::-1], column_with_runs(40, n, seed=4))),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCKS))
+def test_join_path_matches_the_percent_path(name):
+    n, make = BLOCKS[name]
+    block = make(n)
+    assert all(len(c) == n for c in block)
+    if n > 1:
+        assert _run_starts(block[1:], n) is not None  # the join path
+    as_lists = tuple(c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+    assert rows_text(block) == rows_text(as_lists)
+
+
+@pytest.mark.parametrize("n", [2, CSV_CHUNK + 2, 3 * CSV_CHUNK])
+def test_write_graph_of_a_star_centred_on_the_last_vertex(n):
+    # every edge is (i, n-1), so the second column is one run
+    out = io.StringIO()
+    write_graph(Graph(n, [(i, n - 1) for i in range(n - 1)]), out)
+    assert out.getvalue() == f"{n}\n" + "".join(f"{i} {n - 1}\n" for i in range(n - 1))
 
 
 def state_writer_bytes(states, n):
@@ -255,18 +334,30 @@ def test_state_writer_matches_write_rows(name):
     assert state_writer_bytes(states, n) == write_rows_bytes(states, n)
 
 
+class Recorder:
+    """A text stream that records how many lines each write holds."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, text):
+        self.lines.append(text.count("\n"))
+
+
 @pytest.mark.parametrize("name", ["all-distinct", "one-value", "one-run-across-chunks"])
 def test_state_writer_writes_at_most_one_chunk_at_a_time(name):
     n, make = STATES[name]
-    writes = []
-
-    class Recorder:
-        def write(self, text):
-            writes.append(text.count("\n"))
-
-    with state_writer(Recorder(), n) as put:
+    out = Recorder()
+    with state_writer(out, n) as put:
         put(0, make(n))
-    assert sum(writes) == 1 + n and max(writes) <= CSV_CHUNK
+    assert sum(out.lines) == 1 + n and max(out.lines) <= CSV_CHUNK
+
+
+def test_homogeneous_table_is_written_at_most_one_chunk_at_a_time():
+    n = 3 * CSV_CHUNK + 7
+    out = Recorder()
+    write_csv(out, "node,degree,mu,beta,r,margin,flagged", report_block(n))
+    assert sum(out.lines) == 1 + n and max(out.lines) <= CSV_CHUNK
 
 
 @pytest.mark.parametrize("length", [9, 11])
