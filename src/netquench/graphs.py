@@ -32,7 +32,9 @@ class GenerationError(RuntimeError):
 class Graph:
     """Immutable undirected simple graph (no self-loops, no multi-edges),
     stored as CSR adjacency.  The build sorts one int64 key per edge
-    direction, so the vertex count is at most MAX_ORDER.
+    direction, so the vertex count is at most MAX_ORDER.  An edge is a pair
+    of int ids: ids that are not ints (float, str), then self-loops and ids
+    outside ``0..n-1``, raise ValueError naming the first such pair.
 
     Attributes
     ----------
@@ -51,16 +53,18 @@ class Graph:
         if not 0 <= n <= MAX_ORDER:
             raise ValueError(f"vertex count must lie in 0..{MAX_ORDER}, got {n}")
         edges = edges if isinstance(edges, np.ndarray) else list(edges)
-        try:
-            pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            # an id beyond int64 is out of range, so the check below raises
+        pairs = np.asarray(edges).reshape(-1, 2)
+        if pairs.dtype.kind != "i":  # floats, str, or ints beyond int64: check each id
             pairs = np.array(edges, dtype=object).reshape(-1, 2)
+            for i, j in pairs:
+                if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+                    raise ValueError(f"vertex ids must be integers, got ({i!r}, {j!r})")
         k = _check_pairs(pairs, n)
         if k >= 0:
             i, j = int(pairs[k, 0]), int(pairs[k, 1])
             raise ValueError(f"self-loop at vertex {i}" if i == j
                              else f"vertex id out of range for n={n}: ({i}, {j})")
+        pairs = pairs.astype(np.int64, copy=False)
         # the key i*n + j of both directions of every pair, sorted, orders the
         # entries by (row, column); repeated and reversed input pairs become
         # adjacent duplicates and are dropped
@@ -129,8 +133,9 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         except ValueError:
             raise GraphParseError(f"line {lineno}: edge endpoints are not integers") from None
         linenos.append(lineno)
-    # object dtype keeps ids beyond int64 for Graph to report as out of range
-    pairs = np.array(ids, dtype=object).reshape(-1, 2)
+    # ids beyond int64 stay exact (object dtype) for Graph to report as out of range
+    pairs = np.asarray(ids)
+    pairs = (pairs if pairs.dtype.kind == "i" else np.array(ids, dtype=object)).reshape(-1, 2)
     try:
         return Graph(n, pairs)
     except ValueError as exc:

@@ -137,26 +137,31 @@ def write_rows(fh, row: str, block: tuple) -> None:
     arrays = others and all(getattr(c, "dtype", None) in ("float64", "int64") for c in others)
     starts = _run_starts(others, n) if arrays else None
     if starts is None:
-        columns = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
         width = len(columns)
         for a in range(0, n, CSV_CHUNK):
             b = min(a + CSV_CHUNK, n)
             chunk = [None] * ((b - a) * width)
             for j, c in enumerate(columns):
-                chunk[j::width] = c[a:b]
+                chunk[j::width] = _entries(c, a, b)
             fh.write((row * (b - a)) % tuple(chunk))
         return
     head, rest = row.split("%s", 1)
-    if not (n and type(first[0]) is str):
-        first = list(map(str, first.tolist() if hasattr(first, "tolist") else first))
+    strs = n and type(first[0]) is str
     cuts = starts.tolist()
     tails = map(rest.__mod__, zip(*[c[starts].tolist() for c in others]))
     pieces = []
     for a, b, tail in zip(cuts, [*cuts[1:], n], tails):
-        pieces.append(head + (tail + head).join(first[a:b]) + tail)
+        texts = first[a:b] if strs else map(str, _entries(first, a, b))
+        pieces.append(head + (tail + head).join(texts) + tail)
         if b % CSV_CHUNK == 0 or b == n:
             fh.write("".join(pieces))
             pieces.clear()
+
+
+def _entries(column, a: int, b: int):
+    """Entries ``a:b`` of ``column`` as Python objects (of an array, by tolist)."""
+    part = column[a:b]
+    return part.tolist() if hasattr(part, "tolist") else part
 
 
 def write_csv(path, header: str, block: tuple) -> None:

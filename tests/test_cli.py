@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netquench import cli, dynamics, enumeration, graphs
+from netquench import cli, dynamics, enumeration, graphs, oracles
 from netquench import control as control_module
 from netquench.dynamics import NodeParams, load_params, save_params
 from netquench.graphs import Graph, generate_random_regular, generate_ring, read_graph, write_graph
@@ -716,6 +716,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("FAIL") == 1
         assert "FAIL SIS step: zeta matches the per-node product" in out
+
+    def test_lanczos_check_referees_sigma(self, capsys, monkeypatch):
+        dense = oracles.dense_spectral_radius
+        monkeypatch.setattr(oracles, "dense_spectral_radius", lambda h: dense(h) * (1 + 1e-6))
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1
+        assert "FAIL Lanczos matches the dense eigensolver, inside its bracket" in out
 
     @pytest.mark.parametrize("name, wrong, check", [
         ("_KNOWN_CONNECTED_PREFIX", 26705, "connected counts"),

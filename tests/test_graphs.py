@@ -143,6 +143,25 @@ class TestGraphType:
             with pytest.raises(ValueError, match=message):
                 Graph(3, iter(edges))
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0.5, 1)], r"^vertex ids must be integers, got \(0\.5, 1\)$"),
+        ([(0, 1), ("1", 2)], r"\('1', 2\)"),
+        (np.array([[0.9, 2.0]]), r"\(0\.9, 2\.0\)"),
+        ([(0, 1), (1, 2.0), (0.5, 1)], r"\(1, 2\.0\)"),  # the first such pair
+    ], ids=["float", "str", "float-array", "first"])
+    def test_rejects_ids_that_are_not_integers(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, edges)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(2**63, 2**63)], f"self-loop at vertex {2**63}$"),  # numpy infers uint64
+        ([(1, 2**63)], rf"vertex id out of range for n=3: \(1, {2**63}\)$"),  # infers float64
+        (np.array([[1, 2**63]], dtype=np.uint64), rf"out of range for n=3: \(1, {2**63}\)$"),
+    ], ids=["uint64-list", "float64-list", "uint64-array"])
+    def test_ids_beyond_int64_keep_their_message(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, edges)
+
     def test_degree_queries(self):
         assert complete(4).degrees.tolist() == [3, 3, 3, 3]
         assert Graph(4, [(0, 1), (0, 2), (0, 3)]).degrees.tolist() == [3, 1, 1, 1]

@@ -100,17 +100,36 @@ class TestDenseSpectralRadius:
         h = dense_bound_matrix(g, NodeParams.homogeneous(5, 0.5, 0.25, 1.0))
         assert dense_spectral_radius(h) == pytest.approx(1.0, abs=1e-10)
 
-    def test_asymmetric_similarity_path(self):
-        # heterogeneous beta*r: H is asymmetric but diagonally symmetrizable
-        g = Graph(4, itertools.combinations(range(4), 2))
-        params = NodeParams(
-            np.array([0.3, 0.5, 0.7, 0.9]),
-            np.array([0.2, 0.4, 0.6, 0.8]),
-            np.array([0.9, 0.8, 0.7, 0.6]),
-        )
-        h = dense_bound_matrix(g, params)
-        ref = float(np.max(np.abs(np.linalg.eigvals(h))))
-        assert dense_spectral_radius(h) == pytest.approx(ref, abs=1e-10)
+    def test_inside_both_brackets_at_extreme_weight_spreads(self):
+        # connected graphs with beta and r down to 1e-6, so that beta*r spans
+        # 12 decades: the referee lies inside a Collatz-Wielandt bracket
+        # min/max (Hx)_i/x_i of its own, from a positive x (|v| of the dense
+        # Perron vector, sharpened by inverse iteration so that its tiny
+        # entries are accurate), and inside spectral_radius's bracket
+        rng = np.random.default_rng(20261019)
+        widths = []
+        for _ in range(500):
+            n = int(rng.integers(2, 13))
+            tree = [(v, int(rng.integers(0, v))) for v in range(1, n)]
+            extra = [(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+            params = NodeParams(rng.uniform(0.05, 1.0, n), 10.0 ** rng.uniform(-6, 0, n),
+                                10.0 ** rng.uniform(-6, 0, n))
+            g = Graph(n, tree + extra)
+            h = dense_bound_matrix(g, params)
+            ref = dense_spectral_radius(h)
+            vals, vecs = np.linalg.eig(h)
+            x = np.abs(vecs[:, np.argmax(np.abs(vals))])
+            shifted = ref * (1 + 1e-9) * np.eye(n) - h  # its inverse is positive
+            for _ in range(2):
+                x = np.abs(np.linalg.solve(shifted, x))
+                x /= x.max()
+            assert (x > 0).all()
+            ratios = h @ x / x
+            assert ratios.min() - 1e-13 <= ref <= ratios.max() + 1e-13
+            widths.append((ratios.max() - ratios.min()) / ref)
+            est = spectral_radius(g, params)
+            assert est.lower - 1e-12 <= ref <= est.upper + 1e-12
+        assert np.median(widths) < 1e-12  # the bracket is tight, so the check bites
 
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):

@@ -5,8 +5,10 @@ path (runs of repeated rows) against its per-chunk ``%`` path; the
 trajectory writer's bytes against the row writer's; and the output opener's
 clean-up after a failed write."""
 
+import hashlib
 import io
 import os
+import tracemalloc
 from itertools import repeat
 
 import numpy as np
@@ -358,6 +360,50 @@ def test_homogeneous_table_is_written_at_most_one_chunk_at_a_time():
     out = Recorder()
     write_csv(out, "node,degree,mu,beta,r,margin,flagged", report_block(n))
     assert sum(out.lines) == 1 + n and max(out.lines) <= CSV_CHUNK
+
+
+def heterogeneous_report_block(n):
+    """A selection report's columns with distinct params: the ``%`` path."""
+    rng = np.random.default_rng(7)
+    degree = rng.integers(2, 60, n)
+    mu, beta, r = rng.uniform(0.1, 1, n), rng.uniform(0.01, 0.3, n), rng.uniform(0.2, 1, n)
+    margin = mu - beta * r * degree
+    return (range(n), degree, mu, beta, r, margin, (margin <= 0.0).astype(np.int64))
+
+
+class Digest:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+
+@pytest.mark.parametrize("make, path", [(heterogeneous_report_block, "percent"),
+                                        (report_block, "join")],
+                         ids=["heterogeneous", "homogeneous"])
+def test_table_of_1e5_rows_holds_one_chunk_of_objects(make, path):
+    # the Python objects a write holds beyond its arrays are one chunk's
+    # (CSV_CHUNK rows), not one per entry of the table
+    n = 100_000
+    block = make(n)
+    _, *arrays = block
+    assert ("join" if _run_starts(arrays, n) is not None else "percent") == path
+    out = Digest()
+    tracemalloc.start()
+    try:
+        write_csv(out, "node,degree,mu,beta,r,margin,flagged", block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = zip(*[c.tolist() for c in arrays])
+    text = "node,degree,mu,beta,r,margin,flagged\n" + "".join(
+        f"{i},{d},{mu!r},{beta!r},{r!r},{margin!r},{flag}\n"
+        for i, (d, mu, beta, r, margin, flag) in enumerate(rows))
+    assert out.sha.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert peak <= 1_000_000, f"{peak / 1e6:.1f} MB above the arrays on the {path} path"
 
 
 @pytest.mark.parametrize("length", [9, 11])
