@@ -10,6 +10,7 @@ random source is the stdlib Mersenne Twister (``random.Random``).
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Iterable
 
 import numpy as np
@@ -59,11 +60,10 @@ class Graph:
             for i, j in pairs:
                 if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
                     raise ValueError(f"vertex ids must be integers, got ({i!r}, {j!r})")
-        k = _check_pairs(pairs, n)
-        if k >= 0:
-            i, j = int(pairs[k, 0]), int(pairs[k, 1])
-            raise ValueError(f"self-loop at vertex {i}" if i == j
-                             else f"vertex id out of range for n={n}: ({i}, {j})")
+        i, j = pairs[:, 0], pairs[:, 1]
+        bad = (i == j) | (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        if bad.any():
+            raise ValueError(_pair_fault(int(i[bad][0]), int(j[bad][0]), n))
         pairs = pairs.astype(np.int64, copy=False)
         # the key i*n + j of both directions of every pair, sorted, orders the
         # entries by (row, column); repeated and reversed input pairs become
@@ -100,19 +100,16 @@ class Graph:
         return self.indices.size // 2
 
 
-def _check_pairs(pairs: np.ndarray, n: int) -> int:
-    """Index of the first pair (in input order) that is a self-loop or names
-    a vertex outside ``0..n-1``; -1 when every pair is valid."""
-    i, j = pairs[:, 0], pairs[:, 1]
-    bad = (i == j) | (i < 0) | (i >= n) | (j < 0) | (j >= n)
-    return int(np.argmax(bad)) if bad.any() else -1
+def _pair_fault(i: int, j: int, n: int) -> str:
+    """Why the pair (i, j) is no edge on ``0..n-1``: a self-loop or an id out of range."""
+    return f"self-loop at vertex {i}" if i == j else f"vertex id out of range for n={n}: ({i}, {j})"
 
 
 def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse the edge-list format from its text or its lines (an open file):
-    the first data line is the vertex count, each following one is ``i j``.
-    Duplicate and reversed edges collapse to one.  Malformed lines,
-    self-loops and out-of-range ids raise GraphParseError naming the line."""
+    the vertex count n, then one ``i j`` line per edge (duplicate and reversed
+    edges collapse to one).  Each line is checked as it is read: the first
+    malformed line, self-loop or id outside ``0..n-1`` raises GraphParseError naming it."""
     rows = data_lines(text.splitlines() if isinstance(text, str) else text)
     lineno, fields = next(rows, (1, []))
     if len(fields) != 1:
@@ -123,23 +120,20 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
         raise GraphParseError(f"line {lineno}: vertex count is not an integer") from None
     if not 0 <= n <= MAX_ORDER:
         raise GraphParseError(f"line {lineno}: vertex count must lie in 0..{MAX_ORDER}")
-    linenos: list[int] = []
-    ids: list[int] = []
+    ids = array("q")
+    put = ids.append
     for lineno, fields in rows:
         if len(fields) != 2:
             raise GraphParseError(f"line {lineno}: expected 2 fields (i j), got {len(fields)}")
         try:
-            ids += (int(fields[0]), int(fields[1]))
+            i, j = int(fields[0]), int(fields[1])
         except ValueError:
             raise GraphParseError(f"line {lineno}: edge endpoints are not integers") from None
-        linenos.append(lineno)
-    # ids beyond int64 stay exact (object dtype) for Graph to report as out of range
-    pairs = np.asarray(ids)
-    pairs = (pairs if pairs.dtype.kind == "i" else np.array(ids, dtype=object)).reshape(-1, 2)
-    try:
-        return Graph(n, pairs)
-    except ValueError as exc:
-        raise GraphParseError(f"line {linenos[_check_pairs(pairs, n)]}: {exc}") from None
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise GraphParseError(f"line {lineno}: {_pair_fault(i, j, n)}")
+        put(i)
+        put(j)
+    return Graph(n, np.frombuffer(ids, dtype=np.int64).reshape(-1, 2))
 
 
 def read_graph(path) -> Graph:

@@ -18,6 +18,7 @@ import contextlib
 import os
 import stat
 import sys
+from array import array
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
 
 if TYPE_CHECKING:
@@ -47,7 +48,8 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
     header = ["node", *columns]
     linenos: list[int] = []
     ids: list[int] = []
-    values: list[float] = []
+    values = array("d")
+    put = values.append
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = data_lines(fh, ",")
         lineno, fields = next(lines, (1, None))
@@ -59,7 +61,7 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
             try:
                 ids.append(int(fields[0]))
                 for x in fields[1:]:  # faster than map() for a few fields
-                    values.append(float(x))
+                    put(float(x))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             linenos.append(lineno)
@@ -72,7 +74,7 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
             raise ValueError(f"line {lineno}: duplicate node id {i}")
         seen[i] = 1
     table = np.zeros((n, len(columns)))
-    table[ids] = np.reshape(values, (-1, len(columns)))
+    table[ids] = np.frombuffer(values).reshape(-1, len(columns))
     return table
 
 
@@ -147,15 +149,16 @@ def write_rows(fh, row: str, block: tuple) -> None:
         return
     head, rest = row.split("%s", 1)
     strs = n and type(first[0]) is str
-    cuts = starts.tolist()
-    tails = map(rest.__mod__, zip(*[c[starts].tolist() for c in others]))
-    pieces = []
-    for a, b, tail in zip(cuts, [*cuts[1:], n], tails):
-        texts = first[a:b] if strs else map(str, _entries(first, a, b))
-        pieces.append(head + (tail + head).join(texts) + tail)
-        if b % CSV_CHUNK == 0 or b == n:
-            fh.write("".join(pieces))
-            pieces.clear()
+    # each chunk's first row starts a run: convert one chunk's runs at a time
+    chunks = starts.searchsorted(range(0, n + CSV_CHUNK, CSV_CHUNK)).tolist()
+    for lo, hi in zip(chunks, chunks[1:]):
+        cuts = starts[lo:hi].tolist()
+        tails = map(rest.__mod__, zip(*[c[cuts].tolist() for c in others]))
+        pieces = []
+        for a, b, tail in zip(cuts, [*cuts[1:], min(cuts[0] + CSV_CHUNK, n)], tails):
+            texts = first[a:b] if strs else map(str, _entries(first, a, b))
+            pieces.append(head + (tail + head).join(texts) + tail)
+        fh.write("".join(pieces))
 
 
 def _entries(column, a: int, b: int):

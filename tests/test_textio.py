@@ -71,6 +71,29 @@ def test_malformed_row_names_its_line(tmp_path, fmt, row):
         READERS[fmt](path)
 
 
+# files with two bad lines: an edge-list pair is checked on the line that
+# holds it, but a CSV's ids only once every line has parsed (n is its row
+# count), so there a later unparsable line is named first
+FIRST_FAULTS = {
+    "edges-range-then-bad-int": (read_graph, "3\n0 1\n0 7\n1 2\nx y\n",
+                                 r"line 3: vertex id out of range for n=3: \(0, 7\)"),
+    "edges-self-loop-then-field-count": (read_graph, "3\n1 1\n0 1 2\n",
+                                         "line 2: self-loop at vertex 1"),
+    "params-duplicate-then-bad-float": (
+        load_params, "node,mu,beta,r\n0,0.5,0.5,0.5\n0,0.5,0.5,0.5\n1,abc,0.5,0.5\n",
+        "line 4: could not convert string to float: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_FAULTS))
+def test_the_fault_found_first_is_reported(tmp_path, name):
+    reader, text, message = FIRST_FAULTS[name]
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reader(path)
+
+
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_indented_comment_is_skipped(tmp_path, fmt):
     path = write_file(tmp_path, fmt, "\t# indented comment")
@@ -404,6 +427,25 @@ def test_table_of_1e5_rows_holds_one_chunk_of_objects(make, path):
         for i, (d, mu, beta, r, margin, flag) in enumerate(rows))
     assert out.sha.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
     assert peak <= 1_000_000, f"{peak / 1e6:.1f} MB above the arrays on the {path} path"
+
+
+def test_state_of_49009_runs_holds_one_chunk_of_objects():
+    # pairs of equal values, then one long run: just under the half-the-rows
+    # switch, so put converts runs (one chunk's at a time), not rows
+    n = 100_000
+    state = np.concatenate((np.repeat(np.arange(49_000) / 7, 2), np.full(n - 98_000, 0.5)))
+    assert len(_run_starts([state], n)) == 49_009
+    out = Digest()
+    with state_writer(out, n) as put:
+        tracemalloc.start()
+        try:
+            put(3, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = "t,node,p\n" + "".join(f"3,{i},{p!r}\n" for i, p in enumerate(state.tolist()))
+    assert out.sha.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert peak <= 1_000_000, f"{peak / 1e6:.1f} MB above the state"
 
 
 @pytest.mark.parametrize("length", [9, 11])
