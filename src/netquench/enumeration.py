@@ -64,17 +64,19 @@ def count_labeled_graphs_with_edges(p: int, k: int) -> BigCount:
 
 def connected_labeled_table(pmax: int) -> list[BigCount]:
     """[C_1, ..., C_pmax] via the subtractive recurrence
-    C_p = 2^C(p,2) - (1/p) sum_k k C(p,k) 2^C(p-k,2) C_k."""
+    C_p = 2^C(p,2) - (1/p) sum_k k C(p,k) 2^C(p-k,2) C_k.  Each term is
+    k C(p,k) C_k shifted left by C(p-k,2) bits: a shift, not a product of
+    two big integers."""
     if pmax < 1:
         raise ValueError(f"order must be >= 1, got {pmax}")
     counts: list[BigCount] = [0] * (pmax + 1)
     for p in range(1, pmax + 1):
-        acc = sum(
-            k * comb(p, k) * (1 << comb(p - k, 2)) * counts[k] for k in range(1, p)
-        )
+        acc = sum((k * comb(p, k) * counts[k]) << comb(p - k, 2) for k in range(1, p))
         q, rem = divmod(acc, p)
         if rem:
-            raise ArithmeticError(f"subtractive recurrence: {acc} not divisible by {p}")
+            # name sizes, never the value: past 4,300 digits str() would raise
+            raise ArithmeticError(f"subtractive recurrence at p={p}: the {acc.bit_length()}-bit "
+                                  f"sum left remainder {rem} mod {p}")
         counts[p] = (1 << comb(p, 2)) - q
     return counts[1:]
 
@@ -106,7 +108,9 @@ def connected_labeled_egf_log(p_max: int) -> list[BigCount]:
     for k in range(1, p_max + 1):
         c = logged[k]
         if c.denominator != 1:
-            raise ArithmeticError(f"series log produced non-integer coefficient at {k}: {c}")
+            raise ArithmeticError(f"series log produced non-integer coefficient at {k}: a "
+                                  f"{c.numerator.bit_length()}-bit numerator over a "
+                                  f"{c.denominator.bit_length()}-bit denominator")
         out.append(int(c))
     return out
 

@@ -195,9 +195,10 @@ def generate_barabasi_albert(n: int, m0: int, m: int, seed: int) -> Graph:
     if not (1 <= m <= m0 <= n):
         raise ValueError(f"need 1 <= m <= m0 <= n, got m={m}, m0={m0}, n={n}")
     rng = random.Random(seed)
-    edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
+    # the endpoints of every edge in order, as one int64 buffer
+    edges = array("q", [v for i in range(m0) for j in range(i + 1, m0) for v in (i, j)])
     # one entry per endpoint: sampling an index is sampling by degree
-    pool: list[int] = [v for e in edges for v in e]
+    pool = array("q", edges)
     for v in range(m0, n):
         targets: set[int] = set()
         while len(targets) < m:
@@ -207,10 +208,10 @@ def generate_barabasi_albert(n: int, m0: int, m: int, seed: int) -> Graph:
                 # degenerate m0=1 start: no degrees yet, attach uniformly
                 targets.add(rng.randrange(v))
         for t in targets:
-            edges.append((t, v))
+            edges.extend((t, v))
             pool.append(t)
         pool.extend([v] * m)
-    return Graph(n, edges)
+    return Graph(n, np.frombuffer(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:

@@ -725,6 +725,14 @@ class TestVerify:
         assert out.count("FAIL") == 1
         assert "FAIL Lanczos matches the dense eigensolver, inside its bracket" in out
 
+    def test_brute_connected_check_referees_the_recurrence(self, capsys, monkeypatch):
+        brute = oracles.brute_count_connected
+        monkeypatch.setattr(oracles, "brute_count_connected", lambda p: brute(p) + (p == 5))
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1
+        assert "FAIL exhaustive connectivity counts match the recurrence" in out
+
     @pytest.mark.parametrize("name, wrong, check", [
         ("_KNOWN_CONNECTED_PREFIX", 26705, "connected counts"),
         ("_KNOWN_REGULAR_COUNTS", (1, 15, 71, 71, 15, 1), "exhaustive regular counts"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from netquench import cli
+from netquench import cli, enumeration
 from netquench.enumeration import (
     _egf_log,
     _ln_factorial,
@@ -77,6 +77,27 @@ class TestConnectedCounts:
         riordan = [connected_labeled_riordan(p) for p in range(1, 31)]
         egf = connected_labeled_egf_log(30)
         assert table == riordan == egf
+
+    def test_table_matches_riordan_at_two_hundred(self):
+        # the two routes share no arithmetic: shifts and a division against products
+        assert connected_labeled_table(200)[-1] == connected_labeled_riordan(200)
+
+    def test_inexact_division_names_the_order_not_the_sum(self, monkeypatch):
+        # one wrong binomial leaves a remainder at p = 171, where the sum has
+        # about 4,380 digits: more than str() of an int may build by default
+        exact = enumeration.comb
+        monkeypatch.setattr(enumeration, "comb", lambda n, k: exact(n, k) + ((n, k) == (171, 1)))
+        with pytest.raises(ArithmeticError, match=r"^subtractive recurrence at p=171: the "
+                                                  r"\d+-bit sum left remainder \d+ mod 171$"):
+            connected_labeled_table(171)
+
+    def test_non_integer_coefficient_names_sizes_not_the_value(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_egf_log",
+                            lambda f: [Fraction(0), Fraction((1 << 15000) + 1, 2)])
+        with pytest.raises(ArithmeticError, match=r"^series log produced non-integer coefficient "
+                                                  r"at 1: a 15001-bit numerator over a 2-bit "
+                                                  r"denominator$"):
+            connected_labeled_egf_log(1)
 
     def test_connected_fraction_increases(self):
         fractions = [

@@ -20,7 +20,7 @@ from netquench.graphs import (
     parse_edge_list,
     write_graph,
 )
-from netquench.oracles import _edge_order, _mask_components, _mask_degrees, brute_count_regular
+from netquench.oracles import _edge_order, _mask_profile, brute_count_regular
 
 
 def complete(n):
@@ -293,8 +293,9 @@ class TestRandomRegular:
 
     def test_uniform_over_the_cubic_graphs_on_six_vertices(self):
         order = _edge_order(6)
+        _, degrees = _mask_profile(6, 0, 1 << len(order))
         cubic = {Graph(6, [e for b, e in enumerate(order) if bits >> b & 1])
-                 for bits in range(1 << len(order)) if _mask_degrees(6, bits, order) == [3] * 6}
+                 for bits in np.flatnonzero((degrees == 3).all(axis=1))}
         assert len(cubic) == brute_count_regular(6)[3] == 70
         samples = 3500
         seen = Counter(generate_random_regular(6, 3, seed=s) for s in range(samples))
@@ -334,10 +335,11 @@ class TestBarabasiAlbert:
 
 
 def component_count(g):
-    """Components of g by the union-find over mask bits that
-    brute_count_connected counts with."""
+    """Components of g by the mask profile that brute_count_connected
+    counts with."""
     order = _edge_order(g.n)
-    return _mask_components(g.n, sum(1 << order.index(e) for e in edge_pairs(g)), order)
+    bits = sum(1 << order.index(e) for e in edge_pairs(g))
+    return int(_mask_profile(g.n, bits, bits + 1)[0][0])
 
 
 class TestComponents:

@@ -9,8 +9,7 @@ from netquench.enumeration import catalan_coefficient, connected_labeled_table
 from netquench.graphs import Graph, generate_erdos_renyi
 from netquench.oracles import (
     _edge_order,
-    _mask_components,
-    _mask_degrees,
+    _mask_profile,
     brute_catalan,
     brute_count_connected,
     brute_count_regular,
@@ -24,6 +23,30 @@ def mask_edges(p, bits):
     return [e for b, e in enumerate(_edge_order(p)) if bits >> b & 1]
 
 
+def profile_row(p, bits):
+    """The component count and degree list of one mask on p vertices."""
+    components, degrees = _mask_profile(p, bits, bits + 1)
+    return int(components[0]), degrees[0].tolist()
+
+
+def bfs_components(g):
+    """Component count of g by breadth-first search over its CSR rows."""
+    seen = [False] * g.n
+    count = 0
+    for source in range(g.n):
+        if seen[source]:
+            continue
+        count += 1
+        seen[source] = True
+        queue = [source]
+        for v in queue:
+            for w in g.indices[g.indptr[v] : g.indptr[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return count
+
+
 class TestGraphMask:
     """A labeled graph on p vertices as the bits of an integer: the encoding
     the exhaustive counts loop over."""
@@ -34,21 +57,34 @@ class TestGraphMask:
     def test_bits_decode(self):
         bits = 0b000101  # edges (0,1) and (0,3)
         assert mask_edges(4, bits) == [(0, 1), (0, 3)]
-        assert _mask_degrees(4, bits, _edge_order(4)) == [2, 1, 0, 1]
+        assert profile_row(4, bits)[1] == [2, 1, 0, 1]
 
     def test_connectivity_counts_isolated_vertices(self):
-        order = _edge_order(3)
-        assert _mask_components(3, 0b001, order) == 2  # vertex 2 isolated
-        assert _mask_components(3, 0b011, order) == 1
-        assert _mask_components(3, 0, order) == 3
-        assert _mask_components(1, 0, _edge_order(1)) == 1
+        assert profile_row(3, 0b001)[0] == 2  # vertex 2 isolated
+        assert profile_row(3, 0b011)[0] == 1
+        assert profile_row(3, 0)[0] == 3
+        assert profile_row(1, 0)[0] == 1
 
     def test_degree_sequence_matches_the_csr_graph(self):
         for p in range(6):
-            order = _edge_order(p)
-            for bits in range(1 << len(order)):
-                degrees = Graph(p, mask_edges(p, bits)).degrees
-                assert _mask_degrees(p, bits, order) == degrees.tolist()
+            _, degrees = _mask_profile(p, 0, 1 << len(_edge_order(p)))
+            for bits, row in enumerate(degrees):
+                assert row.tolist() == Graph(p, mask_edges(p, bits)).degrees.tolist()
+
+    def test_component_counts_match_a_bfs_over_the_csr_graph(self):
+        for p in range(6):
+            components, _ = _mask_profile(p, 0, 1 << len(_edge_order(p)))
+            for bits, count in enumerate(components):
+                assert count == bfs_components(Graph(p, mask_edges(p, bits)))
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_any_split_gives_the_rows_of_one_call(self, p):
+        total = 1 << len(_edge_order(p))
+        whole = _mask_profile(p, 0, total)
+        for split in range(total + 1):
+            parts = _mask_profile(p, 0, split), _mask_profile(p, split, total)
+            for k in range(2):
+                assert np.array_equal(np.concatenate([part[k] for part in parts]), whole[k])
 
 
 class TestBruteConnected:
@@ -185,9 +221,8 @@ def _canonical_form(edges: list[tuple[int, int]], n: int) -> frozenset:
 def test_unlabeled_cubic_classes_on_six_vertices():
     # the 70 labeled cubic graphs on 6 vertices fall into exactly 2
     # isomorphism classes (the 3,3-biclique and the triangular prism)
-    order = _edge_order(6)
-    cubic = [mask_edges(6, bits) for bits in range(1 << len(order))
-             if _mask_degrees(6, bits, order) == [3] * 6]
+    _, degrees = _mask_profile(6, 0, 1 << len(_edge_order(6)))
+    cubic = [mask_edges(6, int(bits)) for bits in np.flatnonzero((degrees == 3).all(axis=1))]
     assert len(cubic) == 70
     assert len({_canonical_form(edges, 6) for edges in cubic}) == 2
 
