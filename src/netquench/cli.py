@@ -9,23 +9,23 @@ simulate with ``error: ...`` and exit code 1 before they write any output.
 A command's output files are all-or-nothing: each is opened before any is
 written, and an error in any deletes them all.
 
-Only ``enumeration`` and ``textio`` load with this module; each command
-imports the rest when it runs, so ``--help`` and ``enum`` start without
-numpy.
+Only ``textio`` loads with this module; each command imports what it runs
+when it runs, so ``--help`` and ``enum`` start without numpy, only ``enum``
+and ``verify`` load ``enumeration``, and only ``analyze`` loads ``json``.
+A process enters through run(), which freezes the heap before the
+interpreter exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import gc
 import math
 import os
-import random
 import sys
 from typing import TYPE_CHECKING
 
-from . import enumeration
 from .textio import open_output, read_node_table, state_writer, write_csv
 
 if TYPE_CHECKING:
@@ -125,6 +125,8 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     _check_outputs(("--out", args.out), ("--report-csv", args.report_csv))
+    import json
+
     from . import control, dynamics, graphs
 
     g = graphs.read_graph(args.graph)
@@ -191,6 +193,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from . import enumeration
+
     if args.table == "connected":
         counts = enumeration.connected_labeled_table(args.pmax)
         header, cols = "p,C_p", (range(1, len(counts) + 1), counts)
@@ -229,9 +233,11 @@ def cmd_enum(args) -> int:
 
 
 def _verify_checks(expensive: bool):
+    import random
+
     import numpy as np
 
-    from . import dynamics, graphs, oracles
+    from . import dynamics, enumeration, graphs, oracles
 
     def check_connected_routes():
         pmax = 16
@@ -405,5 +411,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry (``python -m netquench.cli`` and the ``netquench``
+    script): main(), then exit with its code.  Whatever way main leaves,
+    including argparse's SystemExit, the heap is frozen first, so that the
+    interpreter's exit-time collections skip the objects the imports made,
+    none of which is garbage.  In-process callers use main(), which leaves
+    the collector as it found it."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Exact big-integer count; Python ints are arbitrary precision.
 BigCount = int
@@ -33,6 +35,8 @@ def _egf_log(f: Sequence[Fraction | int]) -> list[Fraction]:
     result is exact over the rationals: in this representation the log
     reduces to binomial convolutions with no divisions.
     """
+    from fractions import Fraction  # here, so that only this route loads it
+
     if len(f) == 0:
         raise ValueError("series needs at least the constant coefficient")
     if f[0] != 1:

@@ -40,20 +40,24 @@ def _mask_profile(p: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray
     over the set bits.  Components: every vertex starts with its own label and
     each present edge lowers both ends to the smaller label; p - 1 sweeps over
     the edges carry a component's least label to all of it, so the component
-    count is the number of vertices that keep their own."""
+    count is the number of vertices that keep their own.  Each end takes the
+    minimum with the other end's label or-ed with the edge's gate, 0 where the
+    edge is present and 255 where it is absent: labels are below p <= 6, so an
+    absent edge leaves both ends as they are."""
     masks = np.arange(start, stop, dtype=np.int64)
-    present = [(i, j, (masks >> b & 1).astype(bool))
-               for b, (i, j) in enumerate(_edge_order(p))]
     degrees = np.zeros((p, len(masks)), dtype=np.uint8)
-    for i, j, has in present:
-        degrees[i] += has
-        degrees[j] += has
+    edges = []
+    for b, (i, j) in enumerate(_edge_order(p)):
+        bit = (masks >> b & 1).astype(np.uint8)
+        degrees[i] += bit
+        degrees[j] += bit
+        edges.append((i, j, 255 * (1 - bit)))
     own = np.arange(p, dtype=np.uint8)[:, None]
     label = np.repeat(own, len(masks), axis=1)
     for _ in range(p - 1):
-        for i, j, has in present:
-            np.minimum(label[i], label[j], out=label[i], where=has)
-            np.copyto(label[j], label[i], where=has)
+        for i, j, gate in edges:
+            np.minimum(label[i], label[j] | gate, out=label[i])
+            np.minimum(label[j], label[i] | gate, out=label[j])
     components = np.count_nonzero(label == own, axis=0).astype(np.uint8)
     return components, degrees.T
 

@@ -46,8 +46,11 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
     import numpy as np  # here, so that the enum commands start without numpy
 
     header = ["node", *columns]
-    linenos: list[int] = []
-    ids: list[int] = []
+    linenos = array("q")
+    put_lineno = linenos.append
+    ids = array("q")
+    put_id = ids.append
+    beyond: dict[int, int] = {}  # row -> an id beyond int64, which ids holds as -1
     values = array("d")
     put = values.append
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -59,23 +62,42 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
             if len(fields) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
             try:
-                ids.append(int(fields[0]))
+                i = int(fields[0])
                 for x in fields[1:]:  # faster than map() for a few fields
                     put(float(x))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            linenos.append(lineno)
+            try:
+                put_id(i)
+            except OverflowError:
+                beyond[len(ids)] = i
+                put_id(-1)
+            put_lineno(lineno)
     n = len(ids) if n is None else n
-    seen = bytearray(n)
-    for lineno, i in zip(linenos, ids):
-        if not 0 <= i < n:
-            raise ValueError(f"line {lineno}: node id {i} is not in 0..n-1 for n={n}")
-        if seen[i]:
-            raise ValueError(f"line {lineno}: duplicate node id {i}")
-        seen[i] = 1
+    rows = np.frombuffer(ids, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    if len(rows) and (rows.min() < 0 or rows.max() >= n):
+        _raise_bad_id(rows, linenos, beyond, n)
+    seen[rows] = True
+    if np.count_nonzero(seen) < len(rows):
+        _raise_bad_id(rows, linenos, beyond, n)
     table = np.zeros((n, len(columns)))
-    table[ids] = np.frombuffer(values).reshape(-1, len(columns))
+    table[rows] = np.frombuffer(values).reshape(-1, len(columns))
     return table
+
+
+def _raise_bad_id(rows: np.ndarray, linenos, beyond: dict[int, int], n: int) -> None:
+    """Raise ValueError for the first row k whose id, ``rows[k]`` (or
+    ``beyond[k]``) read on line ``linenos[k]``, is not in 0..n-1 or repeats
+    an earlier row's."""
+    seen = bytearray(n)
+    for k, i in enumerate(rows.tolist()):
+        i = beyond.get(k, i)
+        if not 0 <= i < n:
+            raise ValueError(f"line {linenos[k]}: node id {i} is not in 0..n-1 for n={n}")
+        if seen[i]:
+            raise ValueError(f"line {linenos[k]}: duplicate node id {i}")
+        seen[i] = 1
 
 
 @contextlib.contextmanager

@@ -50,6 +50,8 @@ BAD_ROWS = [
     ("edges", "beyond int64", "1 99999999999999999999"),
     ("params", "out of range", "9,0.5,0.5,0.5"),
     ("p0", "out of range", "4,0.5"),
+    ("params", "beyond int64", "99999999999999999999,0.5,0.5,0.5"),
+    ("p0", "beyond int64", "-99999999999999999999,0.5"),
 ]
 
 
@@ -82,6 +84,10 @@ FIRST_FAULTS = {
     "params-duplicate-then-bad-float": (
         load_params, "node,mu,beta,r\n0,0.5,0.5,0.5\n0,0.5,0.5,0.5\n1,abc,0.5,0.5\n",
         "line 4: could not convert string to float: 'abc'"),
+    "params-beyond-int64-then-duplicate": (
+        load_params, "node,mu,beta,r\n0,0.5,0.5,0.5\n\n99999999999999999999,0.5,0.5,0.5\n"
+                     "0,0.5,0.5,0.5\n",
+        "line 4: node id 99999999999999999999 is not in 0..n-1 for n=3"),
 }
 
 
