@@ -51,8 +51,13 @@ _KNOWN_REGULAR_COUNTS = ((1,), (1, 1), (1, 0, 1), (1, 3, 3, 1), (1, 0, 12, 0, 1)
                          (1, 15, 70, 70, 15, 1))
 
 
-# The options each generator needs beyond --n.
-_GENERATE_FLAGS = {"regular": ("r",), "ba": ("m0", "m"), "er": ("p",)}
+# Each graph kind: its graphs function and the options it takes after --n.
+_GENERATORS = {
+    "ring": ("generate_ring", ()),
+    "regular": ("generate_random_regular", ("r", "seed")),
+    "ba": ("generate_barabasi_albert", ("m0", "m", "seed")),
+    "er": ("generate_erdos_renyi", ("p", "seed")),
+}
 
 
 def _check_outputs(*outputs: tuple[str, str | None], summary: bool = False) -> None:
@@ -99,25 +104,18 @@ def parse_p0_spec(spec: str, n: int) -> np.ndarray:
         p0 = np.zeros(n)
         p0[node] = v
         return dynamics.as_state(p0, n)
-    return dynamics.as_state(read_node_table(spec, ("p",), n)[:, 0], n)
+    table, _ = read_node_table(spec, ("p",), n)  # unlisted nodes start at 0
+    return dynamics.as_state(table[:, 0], n)
 
 
 def cmd_generate(args) -> int:
-    for flag in _GENERATE_FLAGS.get(args.kind, ()):
+    name, flags = _GENERATORS[args.kind]
+    for flag in flags:
         if getattr(args, flag) is None:
             raise ValueError(f"generate {args.kind} needs --{flag}")
     from . import graphs
 
-    if args.kind == "ring":
-        g = graphs.generate_ring(args.n)
-    elif args.kind == "regular":
-        g = graphs.generate_random_regular(args.n, args.r, args.seed)
-    elif args.kind == "ba":
-        g = graphs.generate_barabasi_albert(args.n, args.m0, args.m, args.seed)
-    elif args.kind == "er":
-        g = graphs.generate_erdos_renyi(args.n, args.p, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown graph kind {args.kind!r}")
+    g = getattr(graphs, name)(args.n, *[getattr(args, flag) for flag in flags])
     graphs.write_graph(g, args.out)
     print(f"wrote {args.kind} graph: n={g.n}, edges={g.num_edges}", file=sys.stderr)
     return 0
@@ -130,7 +128,7 @@ def cmd_analyze(args) -> int:
     from . import control, dynamics, graphs
 
     g = graphs.read_graph(args.graph)
-    params = dynamics.load_params(args.params)
+    params = dynamics.load_params(args.params, g.n)
     report = control.select_nodes(g, params)
     est = dynamics.spectral_radius(g, params)
     payload = {
@@ -156,7 +154,7 @@ def cmd_control(args) -> int:
     from . import control, dynamics, graphs
 
     g = graphs.read_graph(args.graph)
-    params = dynamics.load_params(args.params)
+    params = dynamics.load_params(args.params, g.n)
     report = control.select_nodes(g, params)
     kappa = control.DEFAULT_SAFETY if args.kappa is None else args.kappa
     tuned = control.tune_betas(g, params, report, kappa=kappa)
@@ -175,7 +173,7 @@ def cmd_simulate(args) -> int:
 
     dynamics.check_simulate_args(args.max_steps, args.tol, args.endemic_window)
     g = graphs.read_graph(args.graph)
-    params = dynamics.load_params(args.params)
+    params = dynamics.load_params(args.params, g.n)
     p0 = parse_p0_spec(args.p0, g.n)
     est = dynamics.spectral_radius(g, params)
     with state_writer(args.out, g.n) as put:
@@ -223,11 +221,9 @@ def cmd_enum(args) -> int:
         asym = [enumeration.catalan_asymptotic_log(n) for n in ns]
         ratio = [math.exp(math.log(e) - a) for e, a in zip(exact, asym)]
         header, cols = "n,f_n,ln_asymptotic,ratio", (ns, exact, asym, ratio)
-    elif args.table == "wright":
+    else:  # wright
         qs = range(args.n * (args.n - 1) // 2 + 1)
         header, cols = "q,value", (qs, [enumeration.wright_condition_value(args.n, q) for q in qs])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown table {args.table!r}")
     write_csv(args.out, header, cols)
     return 0
 
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="write a graph as an edge-list file")
-    p_gen.add_argument("kind", choices=["ring", "regular", "ba", "er"])
+    p_gen.add_argument("kind", choices=list(_GENERATORS))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--r", type=int, help="degree (regular)")
     p_gen.add_argument("--m0", type=int, help="seed clique size (ba)")
@@ -344,24 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default="-")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_an = sub.add_parser("analyze", help="spectral radius, threshold verdict, flagged nodes")
-    p_an.add_argument("--graph", required=True)
-    p_an.add_argument("--params", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)  # the graph and params files
+    inputs.add_argument("--graph", required=True)
+    inputs.add_argument("--params", required=True)
+
+    p_an = sub.add_parser("analyze", parents=[inputs],
+                          help="spectral radius, threshold verdict, flagged nodes")
     p_an.add_argument("--out", default="-")
     p_an.add_argument("--report-csv", default=None)
     p_an.set_defaults(func=cmd_analyze)
 
-    p_ctl = sub.add_parser("control", help="tune beta on flagged nodes")
-    p_ctl.add_argument("--graph", required=True)
-    p_ctl.add_argument("--params", required=True)
+    p_ctl = sub.add_parser("control", parents=[inputs], help="tune beta on flagged nodes")
     p_ctl.add_argument("--kappa", type=float, default=None)  # None: control.DEFAULT_SAFETY
     p_ctl.add_argument("--params-out", required=True)
     p_ctl.add_argument("--plan-out", required=True)
     p_ctl.set_defaults(func=cmd_control)
 
-    p_sim = sub.add_parser("simulate", help="run the exact dynamics to a verdict")
-    p_sim.add_argument("--graph", required=True)
-    p_sim.add_argument("--params", required=True)
+    p_sim = sub.add_parser("simulate", parents=[inputs], help="run the exact dynamics to a verdict")
     p_sim.add_argument("--p0", default="uniform:0.2")
     p_sim.add_argument("--max-steps", type=int, default=10_000)
     p_sim.add_argument("--tol", type=float, default=1e-6)

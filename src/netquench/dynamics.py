@@ -224,7 +224,9 @@ def simulate(
 
     extinct: max_i p_i drops below extinct_tol.
     endemic: the relative change of max_i p_i stays below PLATEAU_RTOL for
-    endemic_window consecutive steps while max_i p_i >= extinct_tol.
+    endemic_window consecutive steps while max_i p_i >= extinct_tol.  This
+    is an empirical plateau verdict, not a certified one: no bound is
+    checked that the infection persists.
     undecided: neither happened within max_steps.
     """
     check_simulate_args(max_steps, extinct_tol, endemic_window)
@@ -379,9 +381,13 @@ def spectral_radius(g: Graph, params: NodeParams) -> SpectralEstimate:
     return SpectralEstimate(min(max(theta, dead, lower), upper), used, lower, upper)
 
 
-def load_params(path) -> NodeParams:
-    """Read the params CSV ``node,mu,beta,r``; node ids 0..n-1, each exactly once."""
-    return NodeParams(*read_node_table(path, ("mu", "beta", "r")).T)
+def load_params(path, n: int) -> NodeParams:
+    """Read the params CSV ``node,mu,beta,r`` of a graph of order ``n``: it
+    lists every node id 0..n-1 exactly once (see textio.read_node_table)."""
+    table, rows = read_node_table(path, ("mu", "beta", "r"), n)
+    if rows < n:
+        raise ValueError(f"parameter length {rows} does not match graph order {n}")
+    return NodeParams(*table.T)
 
 
 def save_params(params: NodeParams, path) -> None:

@@ -6,18 +6,16 @@ arbitrary-precision integers and never rounded; any inexact division aborts
 with ArithmeticError because it would indicate an arithmetic bug, not an
 approximation.
 
-Asymptotic estimators (Catalan growth, pairing-model regular/degree-sequence
-counts, the unlabeled reduction) return natural logs as floats: the counts
-overflow floats long before the orders of magnitude stop being meaningful.
-Products and ratios of counts are sums and differences of logs.  The
-rarity ratio of regular graphs among all graphs is the ``enum rarity``
-table of the CLI.
+Asymptotic estimators (Catalan growth, the pairing-model regular count, the
+unlabeled reduction) return natural logs as floats: the counts overflow
+floats long before the orders of magnitude stop being meaningful.  Products
+and ratios of counts are sums and differences of logs.  The rarity ratio of
+regular graphs among all graphs is the ``enum rarity`` table of the CLI.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
@@ -173,39 +171,6 @@ def bollobas_regular_count_log(n: int, degree: int) -> float:
         - _ln_factorial(m)
         - m * math.log(2.0)
         - n * _ln_factorial(degree)
-    )
-
-
-def bollobas_degree_sequence_count_log(degrees: Sequence[int]) -> float:
-    """ln of the asymptotic count of labeled graphs with the given degree
-    sequence: exp(-lam - lam^2) (2m)! / (m! 2^m prod d_i!) with
-    lam = sum C(d_i, 2) / (2m).  Emits a warning when max d_i exceeds
-    sqrt(2 ln n) - 1, where the asymptotic regime is not guaranteed."""
-    d = [int(x) for x in degrees]
-    if any(x < 0 for x in d):
-        raise ValueError("degrees must be nonnegative")
-    total = sum(d)
-    if total % 2 != 0:
-        raise ValueError(f"parity violation: degree sum {total} must be even")
-    if total == 0:
-        return 0.0
-    n = len(d)
-    bound = math.sqrt(2.0 * math.log(n)) - 1.0 if n > 1 else 0.0
-    if max(d) > bound:
-        warnings.warn(
-            f"max degree {max(d)} exceeds sqrt(2 ln n) - 1 = {bound:.3f}; "
-            "the asymptotic count is outside its guaranteed regime",
-            stacklevel=2,
-        )
-    m = total // 2
-    lam = sum(comb(x, 2) for x in d) / (2.0 * m)
-    return (
-        -lam
-        - lam * lam
-        + _ln_factorial(2 * m)
-        - _ln_factorial(m)
-        - m * math.log(2.0)
-        - sum(_ln_factorial(x) for x in d)
     )
 
 

@@ -39,18 +39,19 @@ def data_lines(lines: Iterable[str], sep: str | None = None) -> Iterator[tuple[i
             yield lineno, line.split(sep)
 
 
-def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.ndarray:
+def read_node_table(path, columns: tuple[str, ...], n: int) -> tuple[np.ndarray, int]:
     """Read the CSV ``node,<columns>`` at ``path`` into an ``(n, len(columns))``
-    float array whose row ``i`` is node ``i`` (0 if unlisted).  Node ids lie
-    in ``0..n-1``, each at most once; ``n`` defaults to the row count."""
+    float array whose row ``i`` is node ``i`` (0 if unlisted), and return it
+    with the number of rows read.  Each data line is checked as it is read:
+    its field count, its numbers, then its node id, which must lie in
+    ``0..n-1`` and not repeat an earlier line's; the first fault in the file
+    raises ValueError naming its line."""
     import numpy as np  # here, so that the enum commands start without numpy
 
     header = ["node", *columns]
-    linenos = array("q")
-    put_lineno = linenos.append
+    seen = bytearray(n)
     ids = array("q")
     put_id = ids.append
-    beyond: dict[int, int] = {}  # row -> an id beyond int64, which ids holds as -1
     values = array("d")
     put = values.append
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -67,37 +68,15 @@ def read_node_table(path, columns: tuple[str, ...], n: int | None = None) -> np.
                     put(float(x))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            try:
-                put_id(i)
-            except OverflowError:
-                beyond[len(ids)] = i
-                put_id(-1)
-            put_lineno(lineno)
-    n = len(ids) if n is None else n
-    rows = np.frombuffer(ids, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    if len(rows) and (rows.min() < 0 or rows.max() >= n):
-        _raise_bad_id(rows, linenos, beyond, n)
-    seen[rows] = True
-    if np.count_nonzero(seen) < len(rows):
-        _raise_bad_id(rows, linenos, beyond, n)
+            if not 0 <= i < n:
+                raise ValueError(f"line {lineno}: node id {i} is not in 0..n-1 for n={n}")
+            if seen[i]:
+                raise ValueError(f"line {lineno}: duplicate node id {i}")
+            seen[i] = 1
+            put_id(i)
     table = np.zeros((n, len(columns)))
-    table[rows] = np.frombuffer(values).reshape(-1, len(columns))
-    return table
-
-
-def _raise_bad_id(rows: np.ndarray, linenos, beyond: dict[int, int], n: int) -> None:
-    """Raise ValueError for the first row k whose id, ``rows[k]`` (or
-    ``beyond[k]``) read on line ``linenos[k]``, is not in 0..n-1 or repeats
-    an earlier row's."""
-    seen = bytearray(n)
-    for k, i in enumerate(rows.tolist()):
-        i = beyond.get(k, i)
-        if not 0 <= i < n:
-            raise ValueError(f"line {linenos[k]}: node id {i} is not in 0..n-1 for n={n}")
-        if seen[i]:
-            raise ValueError(f"line {linenos[k]}: duplicate node id {i}")
-        seen[i] = 1
+    table[np.frombuffer(ids, dtype=np.int64)] = np.frombuffer(values).reshape(-1, len(columns))
+    return table, len(ids)
 
 
 @contextlib.contextmanager

@@ -204,7 +204,7 @@ def test_criterion_5_gerschgorin_sufficiency(tmp_path):
                  "--params-out", str(tuned_path), "--plan-out", str(tmp_path / "plan.csv")]
             )
             assert code == 0
-            assert select_nodes(g, load_params(tuned_path)).flagged.size == 0
+            assert select_nodes(g, load_params(tuned_path, g.n)).flagged.size == 0
 
 
 def test_criterion_6_extinction_dynamics():

@@ -209,7 +209,7 @@ class TestControl:
         header, rows = read_csv_rows(plan)
         assert header == ["node", "beta_old", "beta_new"]
         assert rows == [["0", "0.2", "0.05"]]
-        assert load_params(tuned).beta[0] == pytest.approx(0.05)
+        assert load_params(tuned, 10).beta[0] == pytest.approx(0.05)
         # re-analyze: nothing left to flag
         report_out = tmp_path / "post.json"
         cli.main(["analyze", "--graph", str(graph_path), "--params", str(tuned),
@@ -462,7 +462,7 @@ class TestSimulate:
                          "--out", str(out)]) == 0
         assert capsys.readouterr().out.startswith("extinct,")
         states = []
-        dynamics.simulate(read_graph(tmp_path / "g.edges"), load_params(tmp_path / "p.csv"),
+        dynamics.simulate(read_graph(tmp_path / "g.edges"), load_params(tmp_path / "p.csv", n),
                           cli.parse_p0_spec(p0, n), sink=lambda t, p: states.append(p))
         rows = (f"{t},{i},{v!r}\n" for t, p in enumerate(states) for i, v in enumerate(p.tolist()))
         assert out.read_text() == "t,node,p\n" + "".join(rows)
@@ -523,14 +523,18 @@ def test_p0_spec_of_the_wrong_shape_or_node(spec, message):
         cli.parse_p0_spec(spec, 9)
 
 
-@pytest.mark.parametrize("command, output_flags", [
+# the commands that read a graph and a params file, with their output flags
+each_input_command = pytest.mark.parametrize("command, output_flags", [
     ("analyze", ["--out", "--report-csv"]),
     ("control", ["--params-out", "--plan-out"]),
     ("simulate", ["--out"]),
 ], ids=["analyze", "control", "simulate"])
-def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatch,
-                                       command, output_flags):
-    monkeypatch.setattr(dynamics, "MAX_PRODUCTS", 1)
+
+
+def failing_run_stderr(star9_files, tmp_path, capsys, command, output_flags):
+    """Run ``command`` on the star files with each output in tmp_path, check
+    that it exits 1 with no stdout and leaves no output file, and return its
+    stderr."""
     graph_path, params_path = star9_files
     outputs = [arg for k, flag in enumerate(output_flags)
                for arg in (flag, str(tmp_path / f"out{k}"))]
@@ -539,8 +543,29 @@ def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatc
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: spectral radius did not converge within 1 iterations")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["params.csv", "star.edges"]
+    return captured.err
+
+
+@each_input_command
+def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatch,
+                                       command, output_flags):
+    monkeypatch.setattr(dynamics, "MAX_PRODUCTS", 1)
+    err = failing_run_stderr(star9_files, tmp_path, capsys, command, output_flags)
+    assert err.startswith("error: spectral radius did not converge within 1 iterations")
+
+
+@each_input_command
+@pytest.mark.parametrize("rows, message", [
+    (9, "parameter length 9 does not match graph order 10"),
+    (11, "line 12: node id 10 is not in 0..n-1 for n=10"),
+], ids=["short", "over"])
+def test_params_must_list_every_node_once(star9_files, tmp_path, capsys, command, output_flags,
+                                          rows, message):
+    # a params file one row short of the 10-node star, or one row over it
+    save_params(NodeParams.homogeneous(rows, 0.5, 0.2, 1.0), star9_files[1])
+    err = failing_run_stderr(star9_files, tmp_path, capsys, command, output_flags)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, outputs", [

@@ -91,7 +91,7 @@ class TestNodeParams:
         )
         path = tmp_path / "params.csv"
         save_params(p, path)
-        q = load_params(path)
+        q = load_params(path, 3)
         assert np.array_equal(p.mu, q.mu)
         assert np.array_equal(p.beta, q.beta)
         assert np.array_equal(p.r, q.r)
@@ -100,14 +100,14 @@ class TestNodeParams:
         path = tmp_path / "bad.csv"
         path.write_text("node,mu,beta,r\n0,0.5,0.5,0.5\n2,0.5,0.5,0.5\n")
         with pytest.raises(ValueError, match="0..n-1"):
-            load_params(path)
+            load_params(path, 2)
 
     def test_csv_rejects_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         for row in ("0,0.5,0.5", "0,0.5,0.5,0.5,0.5"):
             path.write_text(f"node,mu,beta,r\n{row}\n")
             with pytest.raises(ValueError, match="4 fields"):
-                load_params(path)
+                load_params(path, 1)
 
 
 class TestZeta:

@@ -1,6 +1,5 @@
 import csv
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from netquench import cli, enumeration
 from netquench.enumeration import (
     _egf_log,
     _ln_factorial,
-    bollobas_degree_sequence_count_log,
     bollobas_regular_count_log,
     catalan_asymptotic_log,
     catalan_coefficient,
@@ -184,6 +182,15 @@ class TestBollobasRegular:
         assert est == pytest.approx(99.9566, abs=1e-3)
         assert est / 70.0 < 1.5
 
+    def test_cubic_overcount_falls_toward_one(self):
+        # exact labeled cubic graph counts for n = 6, 8, 10, 12 (OEIS A002829)
+        exact = {6: 70, 8: 19355, 10: 11180820, 12: 11555272575}
+        ratios = [math.exp(bollobas_regular_count_log(n, 3)) / count
+                  for n, count in exact.items()]
+        assert all(r > 1.0 for r in ratios)
+        assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        assert ratios == pytest.approx([1.428, 1.316, 1.239, 1.193], abs=1e-3)
+
     def test_k4_order_of_magnitude(self):
         est = math.exp(bollobas_regular_count_log(4, 3))
         assert 0.1 < est < 10.0  # exact count is 1; asymptotic is loose at n=4
@@ -195,37 +202,6 @@ class TestBollobasRegular:
             bollobas_regular_count_log(4, 4)
         with pytest.raises(ValueError):
             bollobas_regular_count_log(4, 0)
-
-
-class TestBollobasDegreeSequence:
-    def test_regular_specialization(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            a = bollobas_degree_sequence_count_log([3] * 6)
-        b = bollobas_regular_count_log(6, 3)
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_single_edge(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert bollobas_degree_sequence_count_log([1, 1]) == pytest.approx(0.0)
-
-    def test_triangle_estimate(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = math.exp(bollobas_degree_sequence_count_log([2, 2, 2]))
-        assert 0.5 < est < 2.0  # exact count is 1
-
-    def test_all_zero_sequence(self):
-        assert bollobas_degree_sequence_count_log([0, 0]) == 0.0
-
-    def test_parity(self):
-        with pytest.raises(ValueError, match="parity"):
-            bollobas_degree_sequence_count_log([1, 1, 1])
-
-    def test_warns_outside_regime(self):
-        with pytest.warns(UserWarning, match="regime"):
-            bollobas_degree_sequence_count_log([3] * 6)
 
 
 class TestUnlabeledRegular:
@@ -303,9 +279,8 @@ class TestRarity:
     (lambda: connected_labeled_table(0), "order must be >= 1, got 0"),
     (lambda: connected_labeled_riordan(0), "order must be >= 1, got 0"),
     (lambda: connected_labeled_egf_log(0), "order must be >= 1, got 0"),
-    (lambda: bollobas_degree_sequence_count_log([-1, 1]), "degrees must be nonnegative"),
     (lambda: wright_condition_value(0, 0), "order must be >= 1, got 0"),
-], ids=["edges", "table", "riordan", "egf-log", "degree-sequence", "wright"])
+], ids=["edges", "table", "riordan", "egf-log", "wright"])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

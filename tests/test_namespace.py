@@ -15,11 +15,11 @@ EXPORTS = {
         "simulate", "sis_step", "spectral_radius", "zeta_vector",
     ],
     "enumeration": [
-        "BigCount", "bollobas_degree_sequence_count_log", "bollobas_regular_count_log",
-        "catalan_asymptotic_log", "catalan_coefficient", "catalan_column",
-        "connected_labeled_egf_log", "connected_labeled_riordan", "connected_labeled_table",
-        "count_all_labeled_graphs", "count_labeled_graphs_with_edges",
-        "unlabeled_regular_count_log", "wright_condition_value",
+        "BigCount", "bollobas_regular_count_log", "catalan_asymptotic_log",
+        "catalan_coefficient", "catalan_column", "connected_labeled_egf_log",
+        "connected_labeled_riordan", "connected_labeled_table", "count_all_labeled_graphs",
+        "count_labeled_graphs_with_edges", "unlabeled_regular_count_log",
+        "wright_condition_value",
     ],
     "graphs": [
         "GenerationError", "Graph", "GraphParseError", "generate_barabasi_albert",
@@ -40,6 +40,7 @@ DELETED = [
     "count_labelings", "stirling_log_factorial", "rarity_ratio_log",
     "verify_bound_inequality", "DegreeSequence", "serialize_edge_list",
     "classify_sigma", "connected_labeled_harary", "LogValue",
+    "bollobas_degree_sequence_count_log",
 ]
 
 

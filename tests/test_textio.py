@@ -28,11 +28,19 @@ FORMATS = {
     "p0": ("node,p", "0,0.5"),
 }
 
+# each reads its file as input to a graph of order 4
 READERS = {
     "edges": read_graph,
-    "params": load_params,
+    "params": lambda path: load_params(path, 4),
     "p0": lambda path: parse_p0_spec(str(path), 4),
 }
+
+
+def read_valid(fmt, path):
+    """Read a valid file whose one data row is node 0's: a params file then
+    lists every node of a graph of order 1."""
+    return load_params(path, 1) if fmt == "params" else READERS[fmt](path)
+
 
 BAD_ROWS = [
     ("edges", "bad int", "1 x"),
@@ -73,20 +81,23 @@ def test_malformed_row_names_its_line(tmp_path, fmt, row):
         READERS[fmt](path)
 
 
-# files with two bad lines: an edge-list pair is checked on the line that
-# holds it, but a CSV's ids only once every line has parsed (n is its row
-# count), so there a later unparsable line is named first
+# files with two bad lines, read as input to a graph of order 3: every
+# reader checks each line as it reads it, so the earlier fault is named
+ORDER_3 = {"params": lambda path: load_params(path, 3),
+           "p0": lambda path: parse_p0_spec(str(path), 3)}
 FIRST_FAULTS = {
     "edges-range-then-bad-int": (read_graph, "3\n0 1\n0 7\n1 2\nx y\n",
                                  r"line 3: vertex id out of range for n=3: \(0, 7\)"),
     "edges-self-loop-then-field-count": (read_graph, "3\n1 1\n0 1 2\n",
                                          "line 2: self-loop at vertex 1"),
     "params-duplicate-then-bad-float": (
-        load_params, "node,mu,beta,r\n0,0.5,0.5,0.5\n0,0.5,0.5,0.5\n1,abc,0.5,0.5\n",
-        "line 4: could not convert string to float: 'abc'"),
+        ORDER_3["params"], "node,mu,beta,r\n0,0.5,0.5,0.5\n0,0.5,0.5,0.5\n1,abc,0.5,0.5\n",
+        "line 3: duplicate node id 0"),
+    "p0-duplicate-then-bad-float": (ORDER_3["p0"], "node,p\n0,0.5\n0,0.5\n1,abc\n",
+                                    "line 3: duplicate node id 0"),
     "params-beyond-int64-then-duplicate": (
-        load_params, "node,mu,beta,r\n0,0.5,0.5,0.5\n\n99999999999999999999,0.5,0.5,0.5\n"
-                     "0,0.5,0.5,0.5\n",
+        ORDER_3["params"], "node,mu,beta,r\n0,0.5,0.5,0.5\n\n99999999999999999999,0.5,0.5,0.5\n"
+                           "0,0.5,0.5,0.5\n",
         "line 4: node id 99999999999999999999 is not in 0..n-1 for n=3"),
 }
 
@@ -103,7 +114,7 @@ def test_the_fault_found_first_is_reported(tmp_path, name):
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 def test_indented_comment_is_skipped(tmp_path, fmt):
     path = write_file(tmp_path, fmt, "\t# indented comment")
-    result = READERS[fmt](path)
+    result = read_valid(fmt, path)
     if fmt == "edges":
         assert result == Graph(4, [(0, 1)])
     elif fmt == "params":
@@ -137,7 +148,7 @@ def test_leading_byte_order_mark_is_skipped(tmp_path, fmt):
     for mark in ("", "\ufeff"):
         path = tmp_path / f"input{len(mark)}.{fmt}"
         path.write_text(f"{mark}{head}\n{valid}\n", encoding="utf-8")
-        result = READERS[fmt](path)
+        result = read_valid(fmt, path)
         if fmt == "params":
             result = np.stack([result.mu, result.beta, result.r])
         results.append(result if fmt == "edges" else result.tolist())
