@@ -3,9 +3,11 @@
 Subcommands: generate, analyze, control, simulate, enum, verify.  Reports
 are JSON (nested data); tables and time series are CSV.  Every command is
 deterministic: given its flags and seed, every run writes the same bytes.
-Exit code 0 means every requested computation converged and validated; a
-sigma(H) solve that runs out of iterations ends analyze, control and
-simulate with ``error: ...`` and exit code 1 before they write any output.
+Exit code 0 means every requested computation converged and validated.
+Input the package cannot use raises ValueError, a failed computation (a
+sigma(H) solve out of iterations) ArithmeticError and I/O OSError; main
+prints each as one ``error: ...`` line and exits 1.  Anything else is a bug
+that propagates with its traceback.
 A command's output files are all-or-nothing: each is opened before any is
 written, and an error in any deletes them all.
 
@@ -92,9 +94,8 @@ def parse_p0_spec(spec: str, n: int) -> np.ndarray:
     from . import dynamics
 
     if spec.startswith("uniform:"):
-        v = _p0_field(spec, float, spec.split(":", 1)[1])
-        return dynamics.as_state(np.full(n, v), n)
-    if spec.startswith("single:"):
+        p0 = np.full(n, _p0_field(spec, float, spec.split(":", 1)[1]))
+    elif spec.startswith("single:"):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad p0 spec {spec!r}; expected single:<node>:<v>")
@@ -103,18 +104,23 @@ def parse_p0_spec(spec: str, n: int) -> np.ndarray:
             raise ValueError(f"p0 node {node} out of range for n={n}")
         p0 = np.zeros(n)
         p0[node] = v
-        return dynamics.as_state(p0, n)
-    table, _ = read_node_table(spec, ("p",), n)  # unlisted nodes start at 0
-    return dynamics.as_state(table[:, 0], n)
+    else:
+        table, _ = read_node_table(spec, ("p",), n)  # unlisted nodes start at 0
+        p0 = table[:, 0]
+    return dynamics.as_state(p0, n)
 
 
 def cmd_generate(args) -> int:
     name, flags = _GENERATORS[args.kind]
-    for flag in flags:
-        if getattr(args, flag) is None:
+    for flag in ("r", "m0", "m", "p", "seed"):
+        given = getattr(args, flag) is not None
+        if given and flag not in flags:
+            raise ValueError(f"generate {args.kind} does not take --{flag}")
+        if not given and flag in flags and flag != "seed":
             raise ValueError(f"generate {args.kind} needs --{flag}")
     from . import graphs
 
+    args.seed = args.seed or 0  # an absent seed is 0
     g = getattr(graphs, name)(args.n, *[getattr(args, flag) for flag in flags])
     graphs.write_graph(g, args.out)
     print(f"wrote {args.kind} graph: n={g.n}, edges={g.num_edges}", file=sys.stderr)
@@ -228,7 +234,7 @@ def cmd_enum(args) -> int:
     return 0
 
 
-def _verify_checks(expensive: bool):
+def _verify_checks():
     import random
 
     import numpy as np
@@ -245,9 +251,8 @@ def _verify_checks(expensive: bool):
         return table == riordan == egf
 
     def check_brute_connected():
-        top = 6 if expensive else 5
-        brute = [oracles.brute_count_connected(p) for p in range(1, top + 1)]
-        return brute == enumeration.connected_labeled_table(top)
+        brute = [oracles.brute_count_connected(p) for p in range(1, 7)]
+        return brute == enumeration.connected_labeled_table(6)
 
     def check_brute_regular():
         rows = tuple(tuple(oracles.brute_count_regular(n))
@@ -313,7 +318,7 @@ def _verify_checks(expensive: bool):
 
 def cmd_verify(args) -> int:
     failures = 0
-    for desc, fn in _verify_checks(args.expensive):
+    for desc, fn in _verify_checks():
         ok = fn()
         print(f"{'ok  ' if ok else 'FAIL'} {desc}")
         if not ok:
@@ -336,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--m0", type=int, help="seed clique size (ba)")
     p_gen.add_argument("--m", type=int, help="edges per arrival (ba)")
     p_gen.add_argument("--p", type=float, help="edge probability (er)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out", default="-")
     p_gen.set_defaults(func=cmd_generate)
 
@@ -378,22 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enum)
 
     p_ver = sub.add_parser("verify", help="run the brute-force oracle cross-checks")
-    p_ver.add_argument("--expensive", action="store_true")
+    p_ver.add_argument("--expensive", action="store_true", help="no effect: every check always runs")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
-
-
-def _reported_errors() -> tuple[type[BaseException], ...]:
-    """What main reports as ``error: ...``.  ConvergenceError and
-    GenerationError are named only once their modules are loaded: before
-    that neither can have been raised, and importing them would load numpy."""
-    errors = [ValueError, ArithmeticError, OSError]
-    for module, name in (("dynamics", "ConvergenceError"), ("graphs", "GenerationError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -401,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _reported_errors() as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

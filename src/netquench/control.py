@@ -70,9 +70,9 @@ def tune_betas(
     f = report.flagged
     mu, r, deg = params.mu[f], params.r[f], g.degrees[f]
     scale = r * deg
-    bad = f[scale == 0.0]  # radius 0 < mu_i, so such a node can never be flagged
+    bad = f[scale == 0.0]  # radius 0 < mu_i: select_nodes never flags such a node
     if bad.size:
-        raise RuntimeError(f"internal consistency: flagged node {bad[0]} has r*deg = 0")
+        raise ValueError(f"report fails a consistency check: flagged node {bad[0]} has r*deg = 0")
     beta = np.minimum(params.beta[f], kappa * mu / scale)
     while (still := _margins(mu, beta, r, deg) <= 0.0).any():
         beta[still] = np.nextafter(beta[still], 0.0)

@@ -62,8 +62,8 @@ VERDICT_ENDEMIC = "endemic"
 VERDICT_UNDECIDED = "undecided"
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative estimate did not converge within its iteration budget."""
+class ConvergenceError(ArithmeticError):
+    """An iterative estimate exhausted its budget: a failed computation, so an ArithmeticError."""
 
 
 def _check_range(arr: np.ndarray, ok: np.ndarray, message: str) -> None:

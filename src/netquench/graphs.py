@@ -26,8 +26,8 @@ class GraphParseError(ValueError):
     """Edge-list text could not be parsed; the message carries the line number."""
 
 
-class GenerationError(RuntimeError):
-    """A randomized generator exhausted its restart budget."""
+class GenerationError(ValueError):
+    """A generator exhausted its restarts: arguments it cannot satisfy, so a ValueError."""
 
 
 class Graph:

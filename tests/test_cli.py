@@ -61,6 +61,20 @@ class TestGenerate:
         assert capsys.readouterr().err == f"error: generate {kind} needs --{flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        ("ring --n 5 --m 3 --p 0.9 --r 7 --seed 4", "r"),
+        ("ring --n 6 --seed 0", "seed"),
+        ("regular --n 12 --r 3 --m 2 --seed 1", "m"),
+        ("ba --n 10 --r 3 --m 2", "r"),  # named before the missing --m0
+        ("er --n 10 --p 0.2 --m0 3", "m0"),
+    ], ids=["every-option", "ring", "regular", "ba", "er"])
+    def test_foreign_generator_option_is_an_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "g.edges"
+        assert cli.main(["generate", *argv.split(), "--out", str(out)]) == 1
+        kind = argv.split()[0]
+        assert capsys.readouterr().err == f"error: generate {kind} does not take --{flag}\n"
+        assert not out.exists()
+
     def test_reproducible_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
         for out in (a, b):
@@ -555,6 +569,15 @@ def test_unconverged_sigma_is_an_error(star9_files, tmp_path, capsys, monkeypatc
     assert err.startswith("error: spectral radius did not converge within 1 iterations")
 
 
+def test_package_errors_take_the_bases_main_reports():
+    # a failed computation is an ArithmeticError, arguments a generator cannot
+    # satisfy a ValueError; neither is a RuntimeError, which main lets propagate
+    assert issubclass(dynamics.ConvergenceError, ArithmeticError)
+    assert issubclass(graphs.GenerationError, ValueError)
+    assert not issubclass(dynamics.ConvergenceError, RuntimeError)
+    assert not issubclass(graphs.GenerationError, RuntimeError)
+
+
 @each_input_command
 @pytest.mark.parametrize("rows, message", [
     (9, "parameter length 9 does not match graph order 10"),
@@ -750,9 +773,11 @@ class TestVerify:
         assert out.count("FAIL") == 1
         assert "FAIL Lanczos matches the dense eigensolver, inside its bracket" in out
 
-    def test_brute_connected_check_referees_the_recurrence(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("order", [5, 6])
+    def test_brute_connected_check_referees_the_recurrence(self, capsys, monkeypatch, order):
         brute = oracles.brute_count_connected
-        monkeypatch.setattr(oracles, "brute_count_connected", lambda p: brute(p) + (p == 5))
+        monkeypatch.setattr(oracles, "brute_count_connected",
+                            lambda p: brute(p) + (p == order))
         assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
         assert out.count("FAIL") == 1

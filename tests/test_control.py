@@ -154,7 +154,7 @@ class TestTune:
         params = NodeParams.homogeneous(2, 0.5, 0.5, 0.5)
         real = select_nodes(g, params)
         fake = SelectionReport(real.margins, np.array([0]))
-        with pytest.raises(RuntimeError, match="consistency"):
+        with pytest.raises(ValueError, match="consistency"):
             tune_betas(g, params, fake)
 
     def test_size_mismatch_rejected(self):
