@@ -196,41 +196,70 @@ def cmd_simulate(args) -> int:
     return 0 if traj.verdict != dynamics.VERDICT_UNDECIDED else 1
 
 
+def _connected_table(e, pmax):
+    counts = e.connected_labeled_table(pmax)
+    return "p,C_p", (range(1, len(counts) + 1), counts)
+
+
+def _all_table(e, pmax):
+    ps = range(pmax + 1)
+    return "p,G_p", (ps, [e.count_all_labeled_graphs(p) for p in ps])
+
+
+def _edges_table(e, p):
+    ks = range(math.comb(p, 2) + 1)
+    return "k,count", (ks, [e.count_labeled_graphs_with_edges(p, k) for k in ks])
+
+
+def _regular_asym_table(e, degree, nmax):
+    ns = [n for n in range(degree + 1, nmax + 1) if (n * degree) % 2 == 0]
+    ln_l = [e.bollobas_regular_count_log(n, degree) for n in ns]
+    ln_u = [e.unlabeled_regular_count_log(n, degree) if degree >= 3 else "" for n in ns]
+    return "n,ln_labeled,ln_unlabeled", (ns, ln_l, ln_u)
+
+
+def _rarity_table(e, degree, nmax):
+    ns = [n for n in range(degree + 1, nmax + 1) if (n * degree) % 2 == 0]
+    ln_l = [e.bollobas_regular_count_log(n, degree) for n in ns]
+    ln_g = [math.comb(n, 2) * math.log(2.0) for n in ns]
+    return "n,ln_L,ln_G,ln_ratio", (ns, ln_l, ln_g, [a - b for a, b in zip(ln_l, ln_g)])
+
+
+def _catalan_table(e, nmax):
+    exact = e.catalan_column(nmax)[1:]
+    asym = [e.catalan_asymptotic_log(n) for n in range(2, nmax + 1)]
+    ratio = [math.exp(math.log(f) - a) for f, a in zip(exact, asym)]
+    return "n,f_n,ln_asymptotic,ratio", (range(2, nmax + 1), exact, asym, ratio)
+
+
+def _wright_table(e, n):
+    qs = range(n * (n - 1) // 2 + 1)
+    return "q,value", (qs, [e.wright_condition_value(n, q) for q in qs])
+
+
+# Each enum table: the function of ``enumeration`` and the table's options
+# that gives its header and columns, and those options with their defaults.
+_TABLES = {
+    "connected": (_connected_table, {"pmax": 20}),
+    "all": (_all_table, {"pmax": 20}),
+    "edges": (_edges_table, {"p": 4}),
+    "regular-asym": (_regular_asym_table, {"degree": 3, "nmax": 60}),
+    "rarity": (_rarity_table, {"degree": 3, "nmax": 60}),
+    "catalan": (_catalan_table, {"nmax": 60}),
+    "wright": (_wright_table, {"n": 10}),
+}
+
+
 def cmd_enum(args) -> int:
+    build, defaults = _TABLES[args.table]
+    for flag in ("pmax", "p", "degree", "nmax", "n"):
+        if getattr(args, flag) is not None and flag not in defaults:
+            raise ValueError(f"enum {args.table} does not take --{flag}")
     from . import enumeration
 
-    if args.table == "connected":
-        counts = enumeration.connected_labeled_table(args.pmax)
-        header, cols = "p,C_p", (range(1, len(counts) + 1), counts)
-    elif args.table == "all":
-        ps = range(args.pmax + 1)
-        header, cols = "p,G_p", (ps, [enumeration.count_all_labeled_graphs(p) for p in ps])
-    elif args.table == "edges":
-        ks = range(math.comb(args.p, 2) + 1)
-        counts = [enumeration.count_labeled_graphs_with_edges(args.p, k) for k in ks]
-        header, cols = "k,count", (ks, counts)
-    elif args.table in ("regular-asym", "rarity"):
-        d = args.degree
-        ns = [n for n in range(d + 1, args.nmax + 1) if (n * d) % 2 == 0]
-        ln_l = [enumeration.bollobas_regular_count_log(n, d) for n in ns]
-        if args.table == "rarity":
-            ln_g = [math.comb(n, 2) * math.log(2.0) for n in ns]
-            ratio = [a - b for a, b in zip(ln_l, ln_g)]
-            header, cols = "n,ln_L,ln_G,ln_ratio", (ns, ln_l, ln_g, ratio)
-        else:
-            ln_u = ([enumeration.unlabeled_regular_count_log(n, d) for n in ns]
-                    if d >= 3 else [""] * len(ns))
-            header, cols = "n,ln_labeled,ln_unlabeled", (ns, ln_l, ln_u)
-    elif args.table == "catalan":
-        ns = range(2, args.nmax + 1)
-        exact = enumeration.catalan_column(args.nmax)[1:]
-        asym = [enumeration.catalan_asymptotic_log(n) for n in ns]
-        ratio = [math.exp(math.log(e) - a) for e, a in zip(exact, asym)]
-        header, cols = "n,f_n,ln_asymptotic,ratio", (ns, exact, asym, ratio)
-    else:  # wright
-        qs = range(args.n * (args.n - 1) // 2 + 1)
-        header, cols = "q,value", (qs, [enumeration.wright_condition_value(args.n, q) for q in qs])
-    write_csv(args.out, header, cols)
+    values = [default if getattr(args, flag) is None else getattr(args, flag)
+              for flag, default in defaults.items()]
+    write_csv(args.out, *build(enumeration, *values))
     return 0
 
 
@@ -370,15 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_enum = sub.add_parser("enum", help="counting tables and asymptotic sweeps as CSV")
-    p_enum.add_argument(
-        "table",
-        choices=["connected", "all", "edges", "regular-asym", "rarity", "catalan", "wright"],
-    )
-    p_enum.add_argument("--pmax", type=int, default=20)
-    p_enum.add_argument("--p", type=int, default=4)
-    p_enum.add_argument("--degree", "--r", dest="degree", type=int, default=3)
-    p_enum.add_argument("--nmax", type=int, default=60)
-    p_enum.add_argument("--n", type=int, default=10)
+    p_enum.add_argument("table", choices=list(_TABLES))
+    # None: the table's default (see _TABLES); a table not reading one rejects it
+    p_enum.add_argument("--pmax", type=int)
+    p_enum.add_argument("--p", type=int)
+    p_enum.add_argument("--degree", "--r", dest="degree", type=int)
+    p_enum.add_argument("--nmax", type=int)
+    p_enum.add_argument("--n", type=int)
     p_enum.add_argument("--out", default="-")
     p_enum.set_defaults(func=cmd_enum)
 

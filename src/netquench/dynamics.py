@@ -17,7 +17,8 @@ the stable/marginal/unstable verdict is read from that bracket.
 
 simulate iterates the exact map to a verdict holding one state at a time:
 each state goes to a caller's sink (the CLI's is textio.state_writer's put,
-which writes it as trajectory CSV rows) and is then dropped, so a run's
+which writes it as trajectory CSV rows, a state of distinct values on two
+CPUs where it can) and is then dropped, so a run's
 memory is O(n + m) whatever its step count.  Apart from that sink, all functions are pure; states are plain
 float arrays in [0, 1]^n.
 """
@@ -220,7 +221,9 @@ def simulate(
 
     ``sink(t, p)``, when given, is called with each state p(t) in turn, for
     t = 0..steps_to_verdict.  p(0) is a copy of p0, and no state is written
-    to after it is handed out, so a sink may keep them.
+    to after it is handed out, so a sink may keep them.  The CLI's sink,
+    textio.state_writer's put, writes each state's rows before it returns,
+    formatting a state of distinct values on two CPUs where it can.
 
     extinct: max_i p_i drops below extinct_tol.
     endemic: the relative change of max_i p_i stays below PLATEAU_RTOL for

@@ -9,7 +9,11 @@ round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).  When the
 columns after the first are numpy arrays, each run of rows that repeat them
 is formatted once and written as one join, so a table's cost scales with
 its runs (one per state of a homogeneous simulation) rather than with its
-rows; the bytes are the same either way.
+rows; the bytes are the same either way.  A trajectory's states of distinct
+values (a heterogeneous simulation) are formatted on two CPUs where the
+process has them: state_writer forks one helper process at the first such
+state, which formats every other chunk while state_writer formats the rest
+and writes them all in file order.
 """
 
 from __future__ import annotations
@@ -136,18 +140,20 @@ def write_rows(fh, row: str, block: tuple) -> None:
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns of {[len(c) for c in columns]} rows in one block")
-    first, *others = columns
+    others = columns[1:]
     arrays = others and all(getattr(c, "dtype", None) in ("float64", "int64") for c in others)
-    starts = _run_starts(others, n) if arrays else None
+    _write_block(fh, row, columns, _run_starts(others, n) if arrays else None)
+
+
+def _write_block(fh, row: str, columns, starts) -> None:
+    """write_rows' two paths: by the runs that start at ``starts``, or, when
+    it is None, by one ``%`` per chunk."""
+    n = len(columns[0])
     if starts is None:
-        width = len(columns)
         for a in range(0, n, CSV_CHUNK):
-            b = min(a + CSV_CHUNK, n)
-            chunk = [None] * ((b - a) * width)
-            for j, c in enumerate(columns):
-                chunk[j::width] = _entries(c, a, b)
-            fh.write((row * (b - a)) % tuple(chunk))
+            fh.write(_format_chunk(row, columns, a, min(a + CSV_CHUNK, n)))
         return
+    first, *others = columns
     head, rest = row.split("%s", 1)
     strs = n and type(first[0]) is str
     # each chunk's first row starts a run: convert one chunk's runs at a time
@@ -160,6 +166,15 @@ def write_rows(fh, row: str, block: tuple) -> None:
             texts = first[a:b] if strs else map(str, _entries(first, a, b))
             pieces.append(head + (tail + head).join(texts) + tail)
         fh.write("".join(pieces))
+
+
+def _format_chunk(row: str, columns, a: int, b: int) -> str:
+    """Rows ``a:b`` of ``columns``, formatted by one ``%``."""
+    width = len(columns)
+    chunk = [None] * ((b - a) * width)
+    for j, c in enumerate(columns):
+        chunk[j::width] = _entries(c, a, b)
+    return (row * (b - a)) % tuple(chunk)
 
 
 def _entries(column, a: int, b: int):
@@ -184,16 +199,112 @@ def write_csv(path, header: str, block: tuple) -> None:
 def state_writer(path, n: int) -> Iterator[Callable[[int, np.ndarray], None]]:
     """Open ``path`` (see open_output), write the header ``t,node,p``, and
     yield ``put(t, p)``, which writes the rows ``t,i,p[i]`` for i = 0..n-1 of
-    the float64 state ``p`` through write_rows, with the n prefixes ``i,``
+    the float64 array ``p`` as write_rows would, with the n prefixes ``i,``
     formatted once per file.  A state whose length is not n raises
-    ValueError; if the body raises, the file is deleted."""
+    ValueError; if the body raises, the file is deleted.
+
+    A state of more than CSV_CHUNK rows that write_rows would format row by
+    row is formatted on two CPUs where the process may fork and run on more
+    than one: put forks a helper (see _Helper) at the first such state, and
+    writes every chunk itself, in file order and at most CSV_CHUNK rows a
+    write, so the bytes are the same.  put raises OSError if the helper
+    dies.  However the writer closes, the helper is killed and reaped."""
     nodes = [f"{i}," for i in range(n)]
+    # a helper is worth a fork only with a second chunk and a second CPU
+    spare_cpu = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    helper = None if n > CSV_CHUNK and hasattr(os, "fork") and spare_cpu else False
     with open_output(path) as fh:
         fh.write("t,node,p\n")
 
         def put(t: int, p: np.ndarray) -> None:
+            nonlocal helper
             if len(p) != n:
                 raise ValueError(f"a state of {len(p)} entries for {n} nodes")
-            write_rows(fh, f"{t},%s%s\n", (nodes, p))
+            row, starts = f"{t},%s%s\n", _run_starts((p,), n)
+            if starts is None and helper is None:
+                try:
+                    helper = _Helper(nodes)
+                except OSError:  # no process to spare: format alone
+                    helper = False
+            if starts is None and helper:
+                helper.write(fh, row, p)
+            else:
+                _write_block(fh, row, (nodes, p), starts)
 
-        yield put
+        try:
+            yield put
+        finally:
+            if helper:
+                helper.close()
+
+
+class _Helper:
+    """A forked process that formats the odd CSV_CHUNK chunks of each state
+    it is sent while put formats the even ones.  A state goes down one pipe
+    as its row format's length (8 bytes), the format and its float64 values;
+    each chunk comes back up the other as its length (8 bytes) and text.
+    The fork is safe although numpy's BLAS may have started threads (Python
+    3.12 warns of any fork in a threaded process): the helper formats str
+    and ``array`` objects only, calls no numpy or BLAS, and leaves by
+    os._exit, so it flushes no buffer and runs no exit handler it inherited."""
+
+    def __init__(self, nodes: list[str]):
+        self.nodes = nodes
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(down_w)
+                os.close(up_r)
+                _serve(nodes, open(down_r, "rb"), open(up_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(down_r)
+        os.close(up_w)
+        self.down, self.up = open(down_w, "wb"), open(up_r, "rb")
+
+    def write(self, fh, row: str, p: np.ndarray) -> None:
+        """Write the state ``p`` with ``row`` to ``fh``, formatting its even
+        chunks here while the helper formats the odd ones."""
+        head = row.encode()
+        self.down.write(len(head).to_bytes(8, "little") + head)
+        self.down.write(p if p.flags.c_contiguous else p.copy())
+        self.down.flush()
+        n = len(p)
+        for a in range(0, n, CSV_CHUNK):
+            if a % (2 * CSV_CHUNK):
+                size = int.from_bytes(self.up.read(8), "little")
+                text = self.up.read(size)
+                if not text or len(text) != size:
+                    raise OSError("the trajectory formatting process exited")
+                fh.write(text.decode())
+            else:
+                fh.write(_format_chunk(row, (self.nodes, p), a, min(a + CSV_CHUNK, n)))
+
+    def close(self) -> None:
+        import signal
+
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.up.close()
+        with contextlib.suppress(OSError):  # the unsent part of a state put gave up on
+            self.down.close()
+
+
+def _serve(nodes: list[str], down, up) -> None:
+    """The helper's loop: format the odd chunks of each state read from
+    ``down`` and write them to ``up``, until ``down`` ends."""
+    n = len(nodes)
+    while size := down.read(8):
+        row = down.read(int.from_bytes(size, "little")).decode()
+        state = array("d", down.read(8 * n))
+        for a in range(CSV_CHUNK, n, 2 * CSV_CHUNK):
+            text = _format_chunk(row, (nodes, state), a, min(a + CSV_CHUNK, n)).encode()
+            up.write(len(text).to_bytes(8, "little") + text)
+            up.flush()

@@ -729,6 +729,33 @@ class TestEnum:
         assert len(rows) == 46
         assert float(rows[0][1]) == pytest.approx(-math.log(10) / 2)
 
+    @pytest.mark.parametrize("argv,flag", [
+        ("catalan --nmax 5 --pmax 3 --p 9 --degree 7 --n 4", "pmax"),
+        ("connected --pmax 5 --nmax 9", "nmax"),
+        ("all --p 4", "p"),
+        ("edges --p 4 --r 3", "degree"),  # --r is --degree
+        ("rarity --degree 3 --n 9", "n"),
+        ("regular-asym --pmax 3", "pmax"),
+        ("wright --n 5 --degree 3", "degree"),
+    ], ids=lambda x: x.split()[0] if " " in x else x)
+    def test_foreign_table_option_is_an_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "t.csv"
+        assert cli.main(["enum", *argv.split(), "--out", str(out)]) == 1
+        table = argv.split()[0]
+        assert capsys.readouterr().err == f"error: enum {table} does not take --{flag}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table,defaults", [
+        ("connected", "--pmax 20"), ("all", "--pmax 20"), ("edges", "--p 4"),
+        ("regular-asym", "--degree 3 --nmax 60"), ("rarity", "--r 3 --nmax 60"),
+        ("catalan", "--nmax 60"), ("wright", "--n 10"),
+    ])
+    def test_absent_table_option_takes_its_default(self, tmp_path, table, defaults):
+        plain, given = tmp_path / "plain.csv", tmp_path / "given.csv"
+        assert cli.main(["enum", table, "--out", str(plain)]) == 0
+        assert cli.main(["enum", table, *defaults.split(), "--out", str(given)]) == 0
+        assert plain.read_bytes() == given.read_bytes()
+
     def test_reproducible_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -3,7 +3,8 @@ through save_params and the analyze, control and simulate commands, a
 homogeneous ring simulated from two starts (every state one repeated value;
 runs of exact zeros), a homogeneous 3-regular graph simulated from one
 infected node (states of a few runs, of distinct values, and of a mix of
-both), each enum table at small sizes, and the edge lists of
+both), a tuned heterogeneous BA graph (states of distinct values spanning
+several CSV chunks), each enum table at small sizes, and the edge lists of
 every generator and of write_graph.  A digest changes only when an output
 format changes on purpose."""
 
@@ -42,6 +43,13 @@ RING_DIGESTS = {
 # r = 1) from --p0 single:0:0.5: endemic after 424 steps; 244 of the 425
 # states have more than n/2 runs of equal values, the rest fewer
 REGULAR_SINGLE_DIGEST = "d9c228ae9d38673fab43019a86dfec311f3883c5b6ca58c1b7d1b90ac5128e55"
+
+# simulate --tol 1e-2 on `generate ba --n 600 --m0 3 --m 2 --seed 7`, its
+# params drawn from default_rng(7) (mu, beta, r in this order) and tuned by
+# `control --kappa 0.9`: extinct after 41 steps; every state after the
+# uniform start has more than n/2 runs, and each spans three CSV chunks
+HETERO_N = 600
+HETERO_DIGEST = "ec2555557970a51167d601d9f9136bf0de48ed2e233587c78c7006715f329184"
 
 ENUM_TABLES = {
     "connected": (
@@ -161,6 +169,21 @@ def test_regular_trajectory_from_one_node_bytes(tmp_path):
     assert cli.main(["simulate", "--graph", edges, "--params", params,
                      "--p0", "single:0:0.5", "--out", out]) == 0
     assert sha256(tmp_path / "t.csv") == REGULAR_SINGLE_DIGEST
+
+
+def test_tuned_heterogeneous_trajectory_bytes(tmp_path):
+    edges, params, tuned, out = (str(tmp_path / name)
+                                 for name in ("g.edges", "params.csv", "tuned.csv", "t.csv"))
+    assert cli.main(["generate", "ba", "--n", str(HETERO_N), "--m0", "3", "--m", "2",
+                     "--seed", "7", "--out", edges]) == 0
+    rng = np.random.default_rng(7)
+    save_params(NodeParams(rng.uniform(0.1, 1, HETERO_N), rng.uniform(0.01, 0.3, HETERO_N),
+                           rng.uniform(0.2, 1, HETERO_N)), params)
+    assert cli.main(["control", "--graph", edges, "--params", params, "--kappa", "0.9",
+                     "--params-out", tuned, "--plan-out", str(tmp_path / "plan.csv")]) == 0
+    assert cli.main(["simulate", "--graph", edges, "--params", tuned, "--tol", "1e-2",
+                     "--out", out]) == 0
+    assert sha256(tmp_path / "t.csv") == HETERO_DIGEST
 
 
 @pytest.mark.parametrize("name", sorted(ENUM_TABLES))

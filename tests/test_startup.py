@@ -1,5 +1,5 @@
 """The counting path starts without numpy: ``import netquench``, ``--help``,
-every ``enum`` table and the ``enum`` error path each leave numpy unloaded.
+every ``enum`` table and the ``enum`` error paths each leave numpy unloaded.
 Every command loads only the modules it runs, and leaves through run(),
 which freezes the heap.  Each case runs in a fresh interpreter, as
 ``python -m netquench.cli`` does."""
@@ -91,6 +91,7 @@ COMMANDS = [
       for table in ENUM_TABLES],
     (["enum", "connected", "--pmax", "200", "--out", "table.csv"], 1,
      ["netquench.enumeration"]),
+    (["enum", "catalan", "--pmax", "3", "--out", "table.csv"], 1, []),  # a foreign option
     (["generate", "ring", "--n", "10", "--out", "ring10.edges"], 0, ["numpy"]),
     (["analyze", *GRAPH_FILES, "--out", "report.json"], 0, ["numpy", "json"]),
     (["control", *GRAPH_FILES, "--params-out", "tuned.csv", "--plan-out", "plan.csv"], 0,

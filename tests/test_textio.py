@@ -2,12 +2,14 @@
 ones too), skips a leading byte-order mark, and names the line of a
 malformed row; the row writer's number format, and the bytes of its join
 path (runs of repeated rows) against its per-chunk ``%`` path; the
-trajectory writer's bytes against the row writer's; and the output opener's
-clean-up after a failed write."""
+trajectory writer's bytes against the row writer's, with and without its
+forked formatting helper, and the helper's memory and clean-up; and the
+output opener's clean-up after a failed write."""
 
 import hashlib
 import io
 import os
+import signal
 import tracemalloc
 from itertools import repeat
 
@@ -16,6 +18,7 @@ import pytest
 
 from netquench.cli import parse_p0_spec
 from netquench.dynamics import load_params
+from netquench import textio
 from netquench.graphs import Graph, read_graph, write_graph
 from netquench.textio import (
     CSV_CHUNK, _run_starts, data_lines, open_output, state_writer, write_csv, write_rows,
@@ -463,6 +466,172 @@ def test_state_of_49009_runs_holds_one_chunk_of_objects():
     text = "t,node,p\n" + "".join(f"3,{i},{p!r}\n" for i, p in enumerate(state.tolist()))
     assert out.sha.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
     assert peak <= 1_000_000, f"{peak / 1e6:.1f} MB above the state"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked in the test, which runs as if on
+    two CPUs, so that state_writer starts its helper."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def distinct_state(n, seed):
+    """A state of distinct values with NaN, +-inf, -0.0 and the least
+    subnormal among them, in even and odd chunks alike."""
+    state = np.random.default_rng(seed).random(n)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+    for k, x in enumerate(specials):
+        state[k * (n // len(specials)) + 1 :: 97][:3] = x
+    assert _run_starts([state], n) is None  # row by row
+    return state
+
+
+@pytest.mark.parametrize("n", [2 * CSV_CHUNK - 1, 2 * CSV_CHUNK + 1, 5 * CSV_CHUNK + 3])
+def test_helper_writes_the_bytes_of_write_rows(forks, n):
+    state = distinct_state(n, n)
+    runs = np.repeat([0.5, -0.0, np.nan], [n // 3, n // 3, n - 2 * (n // 3)])
+    states = [(0, runs), (1, state), (2, state[::-1]), (3, np.full(n, 0.25)),
+              (123456, distinct_state(n, n + 1))]
+    assert state_writer_bytes(states, n) == write_rows_bytes(states, n)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_helper_starts_at_the_first_state_written_row_by_row(forks):
+    n = 3 * CSV_CHUNK
+    out = io.StringIO()
+    with state_writer(out, n) as put:
+        put(0, np.full(n, 0.5))
+        put(1, np.repeat([0.25, 0.0], [n - 10, 10]))
+        assert forks == []
+        put(2, distinct_state(n, 2))
+        assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_one_cpu_or_one_chunk_starts_no_helper(forks, monkeypatch):
+    for n, cpus in ((5 * CSV_CHUNK + 3, {0}), (CSV_CHUNK, {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        states = [(t, distinct_state(n, t)) for t in range(2)]
+        assert state_writer_bytes(states, n) == write_rows_bytes(states, n)
+    assert forks == []
+
+
+def test_failed_fork_formats_alone_and_keeps_no_pipe(forks, monkeypatch):
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    n = 5 * CSV_CHUNK + 3
+    states = [(t, distinct_state(n, t)) for t in range(2)]
+    fds = len(os.listdir("/proc/self/fd"))
+    assert state_writer_bytes(states, n) == write_rows_bytes(states, n)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_helper_leaves_one_chunk_a_write(forks):
+    n = 5 * CSV_CHUNK + 3
+    out = Recorder()
+    with state_writer(out, n) as put:
+        put(0, distinct_state(n, 0))
+    assert len(forks) == 1
+    assert sum(out.lines) == 1 + n and max(out.lines) <= CSV_CHUNK
+
+
+def test_state_of_1e5_distinct_values_holds_one_chunk_of_objects(forks):
+    n = 100_000
+    state = np.random.default_rng(2).random(n)
+    out = Digest()
+    with state_writer(out, n) as put:
+        tracemalloc.start()
+        try:
+            put(3, state)
+            put(4, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(forks) == 1
+    text = "t,node,p\n" + "".join(f"{t},{i},{p!r}\n" for t in (3, 4)
+                                   for i, p in enumerate(state.tolist()))
+    assert out.sha.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert peak <= 1_000_000, f"{peak / 1e6:.1f} MB above the state"
+
+
+class FailingStream:
+    """A text stream whose ``fail_at``-th write raises."""
+
+    def __init__(self, fail_at):
+        self.writes, self.fail_at = 0, fail_at
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise RuntimeError("write failed")
+
+
+@pytest.mark.parametrize("fail_at", [2, 3, 8])  # chunk 0 of a state, chunk 1, the next state
+def test_helper_is_reaped_when_a_write_fails(forks, fail_at):
+    n = 5 * CSV_CHUNK + 3
+    with pytest.raises(RuntimeError, match="write failed"):
+        with state_writer(FailingStream(fail_at), n) as put:
+            put(0, distinct_state(n, 0))
+            put(1, distinct_state(n, 1))
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_helper_is_reaped_after_a_state_of_the_wrong_length(tmp_path, forks):
+    n = 5 * CSV_CHUNK + 3
+    out = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=f"a state of {n - 1} entries for {n} nodes"):
+        with state_writer(out, n) as put:
+            put(0, distinct_state(n, 0))
+            put(1, np.full(n - 1, 0.5))
+    assert not out.exists()
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("when", ["mid-state", "between-states"])
+def test_killed_helper_fails_the_state_and_deletes_the_file(tmp_path, forks, monkeypatch, when):
+    n = 5 * CSV_CHUNK + 3
+    parent, format_chunk = os.getpid(), textio._format_chunk
+
+    def dying_at_chunk_3(row, columns, a, b):
+        if a == 3 * CSV_CHUNK and os.getpid() != parent:  # the helper, mid-state
+            os.kill(os.getpid(), signal.SIGKILL)
+        return format_chunk(row, columns, a, b)
+
+    if when == "mid-state":
+        monkeypatch.setattr(textio, "_format_chunk", dying_at_chunk_3)
+    out = tmp_path / "t.csv"
+    with pytest.raises(OSError):
+        with state_writer(out, n) as put:
+            put(0, distinct_state(n, 0))
+            if when == "between-states":
+                os.kill(forks[0], signal.SIGKILL)
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)  # dead, not reaped
+                put(1, distinct_state(n, 1))
+    assert not out.exists()
+    assert len(forks) == 1
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("length", [9, 11])
