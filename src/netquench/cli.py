@@ -191,6 +191,7 @@ def cmd_simulate(args) -> int:
             extinct_tol=args.tol,
             endemic_window=args.endemic_window,
             sink=put,
+            estimate=est,
         )
     print(f"{traj.verdict},{traj.steps_to_verdict},{est.sigma!r}")
     return 0 if traj.verdict != dynamics.VERDICT_UNDECIDED else 1

@@ -18,9 +18,9 @@ the stable/marginal/unstable verdict is read from that bracket.
 simulate iterates the exact map to a verdict holding one state at a time:
 each state goes to a caller's sink (the CLI's is textio.state_writer's put,
 which writes it as trajectory CSV rows, a state of distinct values on two
-CPUs where it can) and is then dropped, so a run's
-memory is O(n + m) whatever its step count.  Apart from that sink, all functions are pure; states are plain
-float arrays in [0, 1]^n.
+CPUs where it can) and is then dropped, so a run's memory is O(n + m)
+whatever its step count.  Apart from that sink, all functions are pure;
+states are plain float arrays in [0, 1]^n.
 """
 
 from __future__ import annotations
@@ -215,6 +215,7 @@ def simulate(
     extinct_tol: float = 1e-6,
     endemic_window: int = 200,
     sink: Callable[[int, np.ndarray], None] | None = None,
+    estimate: SpectralEstimate | None = None,
 ) -> Trajectory:
     """Iterate sis_step until a verdict, holding only the current state, so
     that memory stays O(n + m) however many steps run.
@@ -225,20 +226,31 @@ def simulate(
     textio.state_writer's put, writes each state's rows before it returns,
     formatting a state of distinct values on two CPUs where it can.
 
-    extinct: max_i p_i drops below extinct_tol.
+    ``estimate`` is the sigma(H) bracket of (g, params), such as
+    spectral_radius(g, params) returns, or None.
+
+    extinct: max_i p_i drops below extinct_tol.  When ``estimate`` is
+    "unstable", the disease-free state repels and a state below extinct_tol
+    is no verdict: the run goes on, and only a state of all zeros, which
+    stays zero, is extinct.  A "marginal" or "stable" estimate, or none,
+    keeps the extinct_tol rule.
     endemic: the relative change of max_i p_i stays below PLATEAU_RTOL for
-    endemic_window consecutive steps while max_i p_i >= extinct_tol.  This
+    endemic_window consecutive steps before an extinct verdict.  This
     is an empirical plateau verdict, not a certified one: no bound is
     checked that the infection persists.
     undecided: neither happened within max_steps.
     """
     check_simulate_args(max_steps, extinct_tol, endemic_window)
     _check_sizes(g, params)
+    # an unstable bracket leaves only the state 0, which stays 0, extinct:
+    # no float in [0, 1] but 0.0 lies below ulp(0.0)
+    unstable = estimate is not None and estimate.verdict == "unstable"
+    floor = math.ulp(0.0) if unstable else extinct_tol
     p = as_state(p0, g.n).copy()
     if sink is not None:
         sink(0, p)
     peak = float(p.max())
-    verdict = VERDICT_EXTINCT if peak < extinct_tol else VERDICT_UNDECIDED
+    verdict = VERDICT_EXTINCT if peak < floor else VERDICT_UNDECIDED
     t = streak = 0
     while verdict == VERDICT_UNDECIDED and t < max_steps:
         t += 1
@@ -249,7 +261,7 @@ def simulate(
         rel = abs(new_peak - peak) / max(new_peak, peak)
         streak = streak + 1 if rel < PLATEAU_RTOL else 0
         peak = new_peak
-        if peak < extinct_tol:
+        if peak < floor:
             verdict = VERDICT_EXTINCT
         elif streak >= endemic_window:
             verdict = VERDICT_ENDEMIC

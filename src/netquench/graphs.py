@@ -15,12 +15,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .textio import data_lines, open_output, write_rows
+from .textio import bulk_rows, data_lines, open_output, read_input, write_rows
 
 # Full-restart budget for the pairing-model regular generator.
 DEFAULT_PAIRING_RESTARTS = 10_000
 # Largest vertex count: the build's sort key i*n + j stays below 2**63.
 MAX_ORDER = 3_037_000_499  # math.isqrt(2**63 - 1)
+# One edge-list row as read_graph's bulk path parses it.
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64)])
 
 class GraphParseError(ValueError):
     """Edge-list text could not be parsed; the message carries the line number."""
@@ -137,8 +139,27 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
 
 
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_edge_list(fh)
+    """Read the edge-list file at ``path`` (see textio.read_input).  A
+    regular file whose first line is the vertex count alone, in ASCII
+    digits, is parsed in bulk (see textio.bulk_rows) and checked as a whole
+    by Graph; any other file, and one that the bulk parse or Graph rejects,
+    goes to parse_edge_list, which names the first faulty line.  Both paths
+    take the same files to the same graph."""
+    return read_input(path, _bulk_edge_list, parse_edge_list)
+
+
+def _bulk_edge_list(fh) -> Graph | None:
+    """read_graph's bulk path: the graph, or None where it is not taken."""
+    head = fh.readline().strip()
+    if not (head.isascii() and head.isdigit()):
+        return None
+    rows = bulk_rows(fh, _EDGE_ROW)
+    if rows is None:
+        return None
+    try:
+        return Graph(int(head), rows.view(np.int64).reshape(-1, 2))
+    except ValueError:  # n beyond MAX_ORDER, a self-loop or an id outside 0..n-1
+        return None
 
 
 def write_graph(g: Graph, path) -> None:

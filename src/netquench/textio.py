@@ -1,6 +1,7 @@
-"""Text I/O shared by every command: one line reader and one node-table
-reader for every input file, one stream opener, and one writer that turns
-numbers into text.  write_rows formats the data rows of every table
+"""Text I/O shared by every command: one input reader, which parses a
+regular file in bulk and falls back to one line reader for any other file
+or any file the bulk parse rejects, one node-table reader, one stream
+opener, and one writer that turns numbers into text.  write_rows formats the data rows of every table
 (write_csv), edge list and simulate trajectory (state_writer, which hands it
 one state at a time with each node's ``i,`` formatted once per file).
 Files are UTF-8 with ``\\n`` line endings; a CSV is the header line, then
@@ -23,10 +24,12 @@ import os
 import stat
 import sys
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO, TypeVar
 
 if TYPE_CHECKING:
     import numpy as np
+
+_T = TypeVar("_T")
 
 # Rows a writer formats with one ``%`` or join and one write: enough to
 # spread the per-call cost, few enough to bound the text held at once.
@@ -43,14 +46,81 @@ def data_lines(lines: Iterable[str], sep: str | None = None) -> Iterator[tuple[i
             yield lineno, line.split(sep)
 
 
+def read_input(path, bulk: Callable[[TextIO], _T | None], per_line: Callable[[TextIO], _T]) -> _T:
+    """Read the input file at ``path`` as UTF-8 text (a leading byte-order
+    mark skipped).  A regular file goes to ``bulk(fh)`` first, and then,
+    where that returns None, to ``per_line(fh)`` from its start; any other
+    file (a FIFO, /dev/stdin) cannot be read twice and goes to ``per_line``
+    alone.  Returns what the reader that read it returns."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            result = bulk(fh)
+            if result is not None:
+                return result
+            fh.seek(0)
+        return per_line(fh)
+
+
+def bulk_rows(fh: TextIO, dtype: np.dtype, sep: str | None = None) -> np.ndarray | None:
+    """The rest of the open text file ``fh`` parsed by numpy's C reader
+    (np.loadtxt) as a 1-d array of the structured ``dtype``, one entry per
+    line that is not blank, fields split on ``sep`` (None: whitespace) and
+    ``#`` no comment.  None when it finds no row, or a row it cannot parse
+    into ``dtype`` exactly (a wrong field count, a number it does not
+    take), or warns (as numpy before 2.0 does on ``1.0`` for an int): the
+    caller then reads the file line by line, which names the fault."""
+    import warnings
+
+    import numpy as np
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # among them "input contained no data"
+            return np.loadtxt(fh, dtype=dtype, delimiter=sep, comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+
+
 def read_node_table(path, columns: tuple[str, ...], n: int) -> tuple[np.ndarray, int]:
     """Read the CSV ``node,<columns>`` at ``path`` into an ``(n, len(columns))``
     float array whose row ``i`` is node ``i`` (0 if unlisted), and return it
-    with the number of rows read.  Each data line is checked as it is read:
-    its field count, its numbers, then its node id, which must lie in
-    ``0..n-1`` and not repeat an earlier line's; the first fault in the file
-    raises ValueError naming its line."""
+    with the number of rows read.  Every node id must lie in ``0..n-1`` and
+    not repeat an earlier line's.
+
+    A regular file whose first line is the header is parsed in bulk (see
+    bulk_rows) and checked as a whole.  Any other file, and one that the
+    bulk parse or its checks reject, is read line by line, each data line
+    checked as it is read: its field count, its numbers, then its node id.
+    The first fault in the file raises ValueError naming its line, so both
+    paths take the same files to the same table."""
     import numpy as np  # here, so that the enum commands start without numpy
+
+    header = ",".join(("node", *columns))
+    row = np.dtype([("node", np.int64), ("v", np.float64, (len(columns),))])
+
+    def bulk(fh: TextIO) -> tuple[np.ndarray, int] | None:
+        if fh.readline().strip() != header:
+            return None
+        rows = bulk_rows(fh, row, ",")
+        if rows is None:
+            return None
+        ids = rows["node"]
+        if ids.min() < 0 or ids.max() >= n:
+            return None
+        seen = np.zeros(n, dtype=bool)
+        seen[ids] = True
+        if np.count_nonzero(seen) < ids.size:  # a repeated id
+            return None
+        table = np.zeros((n, len(columns)))
+        table[ids] = rows["v"]
+        return table, ids.size
+
+    return read_input(path, bulk, lambda fh: _read_node_lines(fh, columns, n))
+
+
+def _read_node_lines(fh: TextIO, columns: tuple[str, ...], n: int) -> tuple[np.ndarray, int]:
+    """read_node_table line by line: the bulk path's referee and fallback."""
+    import numpy as np
 
     header = ["node", *columns]
     seen = bytearray(n)
@@ -58,26 +128,25 @@ def read_node_table(path, columns: tuple[str, ...], n: int) -> tuple[np.ndarray,
     put_id = ids.append
     values = array("d")
     put = values.append
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = data_lines(fh, ",")
-        lineno, fields = next(lines, (1, None))
-        if fields is None or [f.strip() for f in fields] != header:
-            raise ValueError(f"line {lineno}: expected header {','.join(header)!r}")
-        for lineno, fields in lines:
-            if len(fields) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
-            try:
-                i = int(fields[0])
-                for x in fields[1:]:  # faster than map() for a few fields
-                    put(float(x))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if not 0 <= i < n:
-                raise ValueError(f"line {lineno}: node id {i} is not in 0..n-1 for n={n}")
-            if seen[i]:
-                raise ValueError(f"line {lineno}: duplicate node id {i}")
-            seen[i] = 1
-            put_id(i)
+    lines = data_lines(fh, ",")
+    lineno, fields = next(lines, (1, None))
+    if fields is None or [f.strip() for f in fields] != header:
+        raise ValueError(f"line {lineno}: expected header {','.join(header)!r}")
+    for lineno, fields in lines:
+        if len(fields) != len(header):
+            raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            i = int(fields[0])
+            for x in fields[1:]:  # faster than map() for a few fields
+                put(float(x))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not 0 <= i < n:
+            raise ValueError(f"line {lineno}: node id {i} is not in 0..n-1 for n={n}")
+        if seen[i]:
+            raise ValueError(f"line {lineno}: duplicate node id {i}")
+        seen[i] = 1
+        put_id(i)
     table = np.zeros((n, len(columns)))
     table[np.frombuffer(ids, dtype=np.int64)] = np.frombuffer(values).reshape(-1, len(columns))
     return table, len(ids)

@@ -363,6 +363,16 @@ class TestSimulate:
         assert code == 0
         assert capsys.readouterr().out.startswith("endemic,")
 
+    @pytest.mark.parametrize("p0", ["uniform:1e-7", "single:0:5e-7"])
+    def test_unstable_network_is_not_called_extinct(self, tmp_path, capsys, p0):
+        # sigma(H) = 1.1, certified unstable; the start lies below --tol
+        write_graph(generate_random_regular(200, 3, 1), tmp_path / "g.edges")
+        save_params(NodeParams.homogeneous(200, 0.8, 0.3, 1.0), tmp_path / "p.csv")
+        code = cli.main(["simulate", "--graph", str(tmp_path / "g.edges"),
+                         "--params", str(tmp_path / "p.csv"), "--p0", p0, "--out", "/dev/null"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("endemic,")
+
     def test_undecided_is_nonzero_exit(self, tmp_path, capsys):
         g = generate_ring(40)
         write_graph(g, tmp_path / "g.edges")

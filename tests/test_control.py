@@ -12,15 +12,17 @@ from netquench.control import (
     write_control_plan,
     write_selection_report,
 )
-from netquench.dynamics import NodeParams, spectral_radius
+from netquench.dynamics import NodeParams, load_params, spectral_radius
 from netquench.graphs import (
     Graph,
     generate_barabasi_albert,
     generate_erdos_renyi,
     generate_random_regular,
     generate_ring,
+    read_graph,
 )
 from netquench.oracles import dense_bound_matrix, dense_spectral_radius
+from netquench.textio import write_csv, write_rows
 
 STAR9 = Graph(10, [(0, i) for i in range(1, 10)])
 
@@ -341,3 +343,41 @@ class TestCsvOutputs:
             data = (tmp_path / name).read_bytes()
             assert b"\r" not in data
             assert data.count(b"\n") == rows and data.endswith(b"\n")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relabelled_files_give_relabelled_results(tmp_path, seed):
+    # a graph and params file, and copies of both with each node i renamed
+    # pi[i] and the rows in their old order (so the ids are unsorted), must
+    # read to pi-permuted node tables, the same flagged set under pi, and
+    # the same verdicts with overlapping sigma brackets, raw and tuned
+    rng = np.random.default_rng(seed)
+    n = 500
+    g = generate_barabasi_albert(n, 3, 2, seed)
+    params = NodeParams(rng.uniform(0.1, 1, n), rng.uniform(0.01, 0.3, n), rng.uniform(0.2, 1, n))
+    pi = rng.permutation(n)
+    rows = np.repeat(np.arange(n), g.degrees)
+    upper = rows < g.indices
+    for name, ids in (("same", np.arange(n)), ("relabelled", pi)):
+        with open(tmp_path / f"{name}.edges", "w") as fh:
+            fh.write(f"{n}\n")
+            write_rows(fh, "%s %s\n", (ids[rows[upper]], ids[g.indices[upper]]))
+        write_csv(tmp_path / f"{name}.csv", "node,mu,beta,r",
+                  (ids, params.mu, params.beta, params.r))
+    (g1, p1), (g2, p2) = [(read_graph(tmp_path / f"{name}.edges"),
+                           load_params(tmp_path / f"{name}.csv", n))
+                          for name in ("same", "relabelled")]
+    assert g1 == g
+    assert g2 == Graph(n, pi[np.column_stack((rows, g.indices))])
+    for a, b in ((p1.mu, p2.mu), (p1.beta, p2.beta), (p1.r, p2.r)):
+        assert b[pi].tobytes() == a.tobytes()
+    r1, r2 = select_nodes(g1, p1), select_nodes(g2, p2)
+    assert 0 < r1.flagged.size < n
+    assert r2.flagged.tolist() == sorted(pi[r1.flagged].tolist())
+    verdicts = []
+    for a, b in ((p1, p2), (tune_betas(g1, p1, r1, kappa=0.9), tune_betas(g2, p2, r2, kappa=0.9))):
+        e1, e2 = spectral_radius(g1, a), spectral_radius(g2, b)
+        assert e1.verdict == e2.verdict
+        assert max(e1.lower, e2.lower) <= min(e1.upper, e2.upper)
+        verdicts.append(e1.verdict)
+    assert verdicts == ["unstable", "stable"]

@@ -24,6 +24,7 @@ from netquench.graphs import (
     Graph,
     generate_barabasi_albert,
     generate_erdos_renyi,
+    generate_random_regular,
     generate_ring,
 )
 from netquench.oracles import dense_bound_matrix, dense_spectral_radius, non_infection_probability
@@ -184,6 +185,34 @@ class TestSimulate:
         traj = simulate(g, params, np.zeros(8))
         assert traj.verdict == "extinct"
         assert traj.steps_to_verdict == 0
+
+    @pytest.mark.parametrize("p0", [np.full(200, 1e-7), np.eye(1, 200, 0)[0] * 5e-7],
+                             ids=["uniform", "single"])
+    def test_unstable_bracket_is_never_extinct_from_a_tiny_start(self, p0):
+        # sigma = 0.2 + 3 * 0.3 = 1.1: the bound says nothing dies out, and a
+        # start below extinct_tol grows to the endemic state
+        g = generate_random_regular(200, 3, 1)
+        params = NodeParams.homogeneous(200, 0.8, 0.3, 1.0)
+        est = spectral_radius(g, params)
+        assert est.verdict == "unstable"
+        assert simulate(g, params, p0).verdict == "extinct"  # the state alone reads extinct
+        traj = simulate(g, params, p0, estimate=est)
+        assert traj.verdict == "endemic" and traj.states.max() > 0.05
+
+    def test_unstable_bracket_keeps_the_zero_state_extinct(self):
+        g = generate_ring(8)
+        params = NodeParams.homogeneous(8, 0.4, 0.9, 1.0)
+        est = spectral_radius(g, params)
+        assert est.verdict == "unstable"
+        traj = simulate(g, params, np.zeros(8), estimate=est)
+        assert (traj.verdict, traj.steps_to_verdict) == ("extinct", 0)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_stable_or_marginal_bracket_keeps_the_tolerance_rule(self, sigma):
+        g = generate_ring(8)
+        params = NodeParams.homogeneous(8, 0.4, 0.9, 1.0)
+        traj = simulate(g, params, np.full(8, 1e-7), estimate=SpectralEstimate(sigma, 0, sigma, sigma))
+        assert (traj.verdict, traj.steps_to_verdict) == ("extinct", 0)
 
     def test_supercritical_ring_is_endemic(self):
         # sigma = 1 - 0.2 + 2*0.3*0.9 = 1.34

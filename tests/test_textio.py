@@ -1,16 +1,20 @@
 """The shared input rules: every reader skips blank and ``#`` lines (indented
 ones too), skips a leading byte-order mark, and names the line of a
-malformed row; the row writer's number format, and the bytes of its join
-path (runs of repeated rows) against its per-chunk ``%`` path; the
-trajectory writer's bytes against the row writer's, with and without its
-forked formatting helper, and the helper's memory and clean-up; and the
-output opener's clean-up after a failed write."""
+malformed row; the bulk path's grammar, values and messages against the
+per-line reader's, and a FIFO read once, line by line; the row writer's
+number format, and the bytes of its join path (runs of repeated rows)
+against its per-chunk ``%`` path; the trajectory writer's bytes against the
+row writer's, with and without its forked formatting helper, and the
+helper's memory and clean-up; and the output opener's clean-up after a
+failed write."""
 
 import hashlib
 import io
 import os
 import signal
+import threading
 import tracemalloc
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -18,8 +22,8 @@ import pytest
 
 from netquench.cli import parse_p0_spec
 from netquench.dynamics import load_params
-from netquench import textio
-from netquench.graphs import Graph, read_graph, write_graph
+from netquench import graphs, textio
+from netquench.graphs import Graph, parse_edge_list, read_graph, write_graph
 from netquench.textio import (
     CSV_CHUNK, _run_starts, data_lines, open_output, state_writer, write_csv, write_rows,
 )
@@ -156,6 +160,154 @@ def test_leading_byte_order_mark_is_skipped(tmp_path, fmt):
             result = np.stack([result.mu, result.beta, result.r])
         results.append(result if fmt == "edges" else result.tolist())
     assert results[0] == results[1]
+
+
+# The grammar the bulk path must share with the per-line referee.  Each case
+# is (reader, file text or bytes, whether the bulk path takes it): "edges"
+# is an edge list, "params" a node table node,mu,beta,r and "p0" one of
+# node,p, each read as input to a graph of order 4.  None leaves it to the
+# bulk parser which of the two paths reads the file.
+PARITY = {
+    "edges-plain": ("edges", "4\n0 1\n1 2\n2 3\n", True),
+    "edges-padded-count": ("edges", "  4 \n0 1\n", True),
+    "edges-signed-count": ("edges", "+4\n0 1\n", False),
+    "edges-count-after-a-comment": ("edges", "# c\n4\n0 1\n", False),
+    "edges-count-alone": ("edges", "4\n", False),
+    "edges-count-beyond-the-order-bound": ("edges", "3037000500\n0 1\n", False),
+    "edges-underscore": ("edges", "4\n0 1_000\n", False),
+    "edges-plus-and-space": ("edges", "4\n +3 0\n", True),
+    "edges-tabs": ("edges", "4\n0\t1\n2\t\t3\t\n", True),
+    "edges-hex": ("edges", "4\n0x1 2\n", False),
+    "edges-non-ascii-digits": ("edges", "4\n٠ ١\n", False),
+    "edges-float-id": ("edges", "4\n1.0 2\n", False),
+    "edges-exponent-id": ("edges", "4\n1e0 2\n", False),
+    "edges-beyond-int64": ("edges", "4\n0 99999999999999999999\n", False),
+    "edges-negative": ("edges", "4\n-1 2\n", False),
+    "edges-out-of-range": ("edges", "4\n0 1\n0 4\n", False),
+    "edges-self-loop": ("edges", "4\n0 1\n2 2\n", False),
+    "edges-three-fields": ("edges", "4\n0 1\n1 2 3\n", False),
+    "edges-every-row-one-field": ("edges", "4\n0\n1\n", False),
+    "edges-crlf": ("edges", "4\r\n0 1\r\n1 2\r\n", True),
+    "edges-cr": ("edges", "4\r0 1\r1 2\r", True),
+    "edges-blank-lines": ("edges", "4\n0 1\n\n   \n\t\n2 3\n", True),
+    "edges-comment-mid-file": ("edges", "4\n0 1\n# c\n2 3\n", False),
+    "edges-indented-comment": ("edges", "4\n0 1\n  # c\n2 3\n", False),
+    "edges-hash-in-a-row": ("edges", "4\n0 1 # c\n", False),
+    "edges-bom": ("edges", "﻿4\n0 1\n", True),
+    "edges-unicode-spaces": ("edges", "4\n0 1\n2\x0c3\n\x1c\n", None),
+    "edges-nul": ("edges", "4\n0\x001\n", False),
+    "edges-not-utf-8": ("edges", b"4\n0 1\n\xff 2\n", None),
+    "p0-not-utf-8": ("p0", b"node,p\n0,0.5\n" + b"\n" * 9000 + b"1,\xff\n", None),
+    "p0-plain": ("p0", "node,p\n0,0.5\n3,0.25\n", True),
+    "p0-unlisted-rows": ("p0", "node,p\n2,1\n", True),
+    "p0-header-only": ("p0", "node,p\n", False),
+    "p0-header-spacing": ("p0", "node , p\n0,0.5\n", False),
+    "p0-header-padded": ("p0", " node,p \n0,0.5\n", True),
+    "p0-wrong-header": ("p0", "node,q\n0,0.5\n", False),
+    "p0-spaces-and-signs": ("p0", "node,p\n +0 , +0.5 \n\t1,\t-2\n", True),
+    "p0-inf-nan": ("p0", "node,p\n0,inf\n1,nan\n2,-Infinity\n3,-nan\n", True),
+    "p0-nan-payload": ("p0", "node,p\n0,nan(1)\n", False),
+    "p0-fortran-exponent": ("p0", "node,p\n0,1d5\n", False),
+    "p0-hex-float": ("p0", "node,p\n0,0x10\n", False),
+    "p0-underscore": ("p0", "node,p\n0,1_000\n", False),
+    "p0-non-ascii-digits": ("p0", "node,p\n0,١.5\n", False),
+    "p0-float-id": ("p0", "node,p\n1.0,0.5\n", False),
+    "p0-beyond-int64": ("p0", "node,p\n99999999999999999999,0.5\n", False),
+    "p0-negative-id": ("p0", "node,p\n-1,0.5\n", False),
+    "p0-id-out-of-range": ("p0", "node,p\n0,0.5\n4,0.5\n", False),
+    "p0-duplicate-id": ("p0", "node,p\n0,0.5\n1,0.5\n0,0.5\n", False),
+    "p0-rounding": ("p0", "node,p\n0,0.1000000000000000055511151231257827\n"
+                          "1,2.2250738585072011e-308\n2,4.9406564584124654e-324\n"
+                          "3,0.30000000000000004440892098500626\n", True),
+    "p0-underflow-and-overflow": ("p0", "node,p\n0,1e-400\n1,1e400\n2,-0.0\n", True),
+    "p0-crlf": ("p0", "node,p\r\n0,0.5\r\n1,0.25\r\n", True),
+    "p0-blank-lines": ("p0", "node,p\n0,0.5\n\n\n1,0.25\n", True),
+    "p0-whitespace-line": ("p0", "node,p\n0,0.5\n  \t\n1,0.25\n", False),
+    "p0-comment-mid-file": ("p0", "node,p\n0,0.5\n# c\n1,0.25\n", False),
+    "p0-hash-in-a-row": ("p0", "node,p\n0,0.5 # c\n", False),
+    "p0-bom": ("p0", "﻿node,p\n0,0.5\n", True),
+    "p0-quoted": ("p0", 'node,p\n0,"0.5"\n', False),
+    "p0-empty-field": ("p0", "node,p\n0,\n", False),
+    "p0-trailing-comma": ("p0", "node,p\n0,0.5,\n", False),
+    "params-plain": ("params", "node,mu,beta,r\n3,0.5,0.25,1\n0,1,0,0.125\n1,0.2,0.3,0.4\n"
+                               "2,0.6,0.7,0.8\n", True),
+    "params-field-count": ("params", "node,mu,beta,r\n0,0.5,0.5\n", False),
+    "params-mixed-field-counts": ("params", "node,mu,beta,r\n0,0.5,0.5,0.5\n1,0.5,0.5\n", False),
+    "params-bad-float": ("params", "node,mu,beta,r\n0,0.5,abc,0.5\n", False),
+}
+
+# the referees: the per-line readers (float() and int() per field), on the
+# text that read_input gives them
+PER_LINE = {
+    "edges": parse_edge_list,
+    "params": partial(textio._read_node_lines, columns=("mu", "beta", "r"), n=4),
+    "p0": partial(textio._read_node_lines, columns=("p",), n=4),
+}
+BULK_FIRST = {
+    "edges": read_graph,
+    "params": lambda path: textio.read_node_table(path, ("mu", "beta", "r"), 4),
+    "p0": lambda path: textio.read_node_table(path, ("p",), 4),
+}
+
+
+def outcome(read):
+    """What ``read()`` gives, bit for bit: a graph's arrays, a table's bytes
+    and row count, or the type and message of the ValueError it raises."""
+    try:
+        result = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Graph):
+        return result.n, result.indptr.tobytes(), result.indices.tobytes()
+    table, rows = result
+    return table.shape, table.tobytes(), rows
+
+
+@pytest.fixture
+def per_line_calls(monkeypatch):
+    """The names of the per-line readers that the readers under test call."""
+    calls = []
+    for owner, name in ((graphs, "parse_edge_list"), (textio, "_read_node_lines")):
+        def spy(*args, _read=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _read(*args)
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(PARITY))
+def test_bulk_path_matches_the_per_line_reader(tmp_path, per_line_calls, name):
+    fmt, text, bulk = PARITY[name]
+    path = tmp_path / "input"
+    if isinstance(text, str):
+        path.write_text(text, encoding="utf-8", newline="")
+    else:
+        path.write_bytes(text)
+    with open(path, encoding="utf-8-sig") as fh:
+        expected = outcome(lambda: PER_LINE[fmt](fh))
+    assert outcome(lambda: BULK_FIRST[fmt](path)) == expected
+    if bulk is not None:
+        referee = "parse_edge_list" if fmt == "edges" else "_read_node_lines"
+        assert per_line_calls == ([] if bulk else [referee])
+
+
+@pytest.mark.parametrize("fmt", sorted(BULK_FIRST))
+def test_a_fifo_is_read_once_line_by_line(tmp_path, per_line_calls, fmt):
+    # a file the bulk path takes when it is regular
+    text = {"edges": "4\n0 1\n1 2\n", "params": PARITY["params-plain"][1],
+            "p0": PARITY["p0-plain"][1]}[fmt]
+    regular = tmp_path / "regular"
+    regular.write_text(text)
+    expected = outcome(lambda: BULK_FIRST[fmt](regular))
+    assert per_line_calls == []
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    assert outcome(lambda: BULK_FIRST[fmt](fifo)) == expected
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert len(per_line_calls) == 1
 
 
 def test_write_csv_number_format(tmp_path):
