@@ -226,14 +226,16 @@ def simulate(
     textio.state_writer's put, writes each state's rows before it returns,
     formatting a state of distinct values on two CPUs where it can.
 
-    ``estimate`` is the sigma(H) bracket of (g, params), such as
-    spectral_radius(g, params) returns, or None.
-
-    extinct: max_i p_i drops below extinct_tol.  When ``estimate`` is
-    "unstable", the disease-free state repels and a state below extinct_tol
-    is no verdict: the run goes on, and only a state of all zeros, which
-    stays zero, is extinct.  A "marginal" or "stable" estimate, or none,
-    keeps the extinct_tol rule.
+    extinct: max_i p_i is 0, or drops below extinct_tol while the block
+    of nodes that the infected ones can reach is not certified unstable.
+    Only that block can be infected from then on, so the run is judged
+    once, at the first state below extinct_tol, on sigma(H) of the block:
+    when its bracket lies above the marginal band, the disease-free state
+    of the block is unstable (a small nonzero state on it moves away from
+    0 rather than dying out), so the run goes on and only a state of all
+    zeros, which stays zero, is extinct.  ``estimate`` is
+    spectral_radius(g, params) when the caller already has it; simulate
+    computes it at that first state when not given.
     endemic: the relative change of max_i p_i stays below PLATEAU_RTOL for
     endemic_window consecutive steps before an extinct verdict.  This
     is an empirical plateau verdict, not a certified one: no bound is
@@ -242,15 +244,23 @@ def simulate(
     """
     check_simulate_args(max_steps, extinct_tol, endemic_window)
     _check_sizes(g, params)
-    # an unstable bracket leaves only the state 0, which stays 0, extinct:
-    # no float in [0, 1] but 0.0 lies below ulp(0.0)
-    unstable = estimate is not None and estimate.verdict == "unstable"
-    floor = math.ulp(0.0) if unstable else extinct_tol
     p = as_state(p0, g.n).copy()
+    persists: bool | None = None  # _block_unstable's answer, found when first needed
+
+    def extinct(p: np.ndarray, peak: float) -> bool:
+        nonlocal persists
+        if peak == 0.0:
+            return True
+        if peak >= extinct_tol:
+            return False
+        if persists is None:
+            persists = _block_unstable(g, params, p > 0, estimate)
+        return not persists
+
     if sink is not None:
         sink(0, p)
     peak = float(p.max())
-    verdict = VERDICT_EXTINCT if peak < floor else VERDICT_UNDECIDED
+    verdict = VERDICT_EXTINCT if extinct(p, peak) else VERDICT_UNDECIDED
     t = streak = 0
     while verdict == VERDICT_UNDECIDED and t < max_steps:
         t += 1
@@ -261,11 +271,45 @@ def simulate(
         rel = abs(new_peak - peak) / max(new_peak, peak)
         streak = streak + 1 if rel < PLATEAU_RTOL else 0
         peak = new_peak
-        if peak < floor:
+        if extinct(p, peak):
             verdict = VERDICT_EXTINCT
         elif streak >= endemic_window:
             verdict = VERDICT_ENDEMIC
     return Trajectory(p[np.newaxis], verdict, t)
+
+
+def _reach(g: Graph, params: NodeParams, seeded: np.ndarray) -> np.ndarray:
+    """The nodes that infection from the seeded ones can reach: node i takes
+    it from a neighbor only when beta_i r_i > 0, and every other unseeded
+    node stays at 0 whatever the seeded ones do."""
+    open_ = params.beta * params.r > 0
+    reach = seeded.copy()
+    frontier = np.flatnonzero(seeded)
+    while frontier.size:
+        starts, counts = g.indptr[frontier], g.degrees[frontier]
+        # the concatenated neighbor lists of the frontier
+        slots = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        nbrs = g.indices[slots]
+        frontier = np.unique(nbrs[open_[nbrs] & ~reach[nbrs]])
+        reach[frontier] = True
+    return reach
+
+
+def _block_unstable(g: Graph, params: NodeParams, seeded: np.ndarray,
+                    estimate: SpectralEstimate | None) -> bool:
+    """Whether sigma(H) of the block of nodes that the seeded ones reach is
+    certified above the marginal band.  The map on that block is the map on
+    its induced subgraph, since the rest stays at 0.  A component that dies
+    out on its own, such as an isolated node, reads stable however large
+    sigma(H) is elsewhere."""
+    if estimate is None:
+        estimate = spectral_radius(g, params)
+    if estimate.upper <= 1.0 + MARGINAL_TOL:
+        return False  # no block's sigma exceeds sigma(H)
+    reach = _reach(g, params, seeded)
+    if not reach.all():
+        estimate = spectral_radius(*_live_block(g, params, reach))
+    return estimate.verdict == "unstable"
 
 
 def _live_block(g: Graph, params: NodeParams, live: np.ndarray) -> tuple[Graph, NodeParams]:

@@ -373,6 +373,15 @@ class TestSimulate:
         assert code == 0
         assert capsys.readouterr().out.startswith("endemic,")
 
+    def test_seeded_isolated_node_of_an_unstable_graph_is_extinct(self, tmp_path, capsys):
+        # sigma(H) = 2.5 on the triangle; node 3 alone follows p <- 0.7 p
+        write_graph(Graph(4, [(0, 1), (1, 2), (0, 2)]), tmp_path / "g.edges")
+        save_params(NodeParams.homogeneous(4, 0.3, 0.9, 1.0), tmp_path / "p.csv")
+        code = cli.main(["simulate", "--graph", str(tmp_path / "g.edges"), "--params",
+                         str(tmp_path / "p.csv"), "--p0", "single:3:0.5", "--out", "/dev/null"])
+        assert code == 0
+        assert capsys.readouterr().out == "extinct,37,2.5\n"
+
     def test_undecided_is_nonzero_exit(self, tmp_path, capsys):
         g = generate_ring(40)
         write_graph(g, tmp_path / "g.edges")

@@ -195,9 +195,38 @@ class TestSimulate:
         params = NodeParams.homogeneous(200, 0.8, 0.3, 1.0)
         est = spectral_radius(g, params)
         assert est.verdict == "unstable"
-        assert simulate(g, params, p0).verdict == "extinct"  # the state alone reads extinct
         traj = simulate(g, params, p0, estimate=est)
         assert traj.verdict == "endemic" and traj.states.max() > 0.05
+        # without the estimate simulate finds it, so the verdict is the same
+        alone = simulate(g, params, p0)
+        assert (alone.verdict, alone.steps_to_verdict) == (traj.verdict, traj.steps_to_verdict)
+
+    @pytest.mark.parametrize("with_estimate", [False, True])
+    def test_a_seeded_component_that_dies_out_is_extinct(self, with_estimate):
+        # sigma(H) = 2.5 on the triangle, but the seeded isolated node 3
+        # follows p <- 0.7 p, which would stick at the smallest subnormal
+        g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+        params = NodeParams.homogeneous(4, 0.3, 0.9, 1.0)
+        est = spectral_radius(g, params) if with_estimate else None
+        assert spectral_radius(g, params).verdict == "unstable"
+        traj = simulate(g, params, [0.0, 0.0, 0.0, 0.5], estimate=est)
+        assert (traj.verdict, traj.steps_to_verdict) == ("extinct", 37)
+
+    def test_the_block_is_judged_on_the_state_that_first_drops_below_tol(self):
+        # mu = 1 clears the fully infected triangle (sigma 1.8) in one step;
+        # then only node 3, which follows p <- 0.7 p, is infected
+        g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+        params = NodeParams([1.0, 1.0, 1.0, 0.3], np.full(4, 0.9), np.ones(4))
+        traj = simulate(g, params, [1.0, 1.0, 1.0, 1e-8])
+        assert (traj.verdict, traj.steps_to_verdict) == ("extinct", 1)
+
+    def test_infection_that_reaches_an_unstable_component_persists(self):
+        # node 3 cannot be infected (beta = 0) but infects the triangle;
+        # node 4 is isolated, so the block that node 3 reaches is 0..3
+        g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3)])
+        params = NodeParams(np.full(5, 0.3), [0.9, 0.9, 0.9, 0.0, 0.9], np.ones(5))
+        assert simulate(g, params, [0.0, 0.0, 0.0, 1e-8, 0.0]).verdict == "endemic"
+        assert simulate(g, params, [0.0, 0.0, 0.0, 0.0, 1e-8]).verdict == "extinct"
 
     def test_unstable_bracket_keeps_the_zero_state_extinct(self):
         g = generate_ring(8)
