@@ -2,7 +2,10 @@
 
 Subcommands: generate, analyze, control, simulate, enum, verify.  Reports
 are JSON (nested data); tables and time series are CSV.  Every command is
-deterministic: given its flags and seed, every run writes the same bytes.
+deterministic: given its flags and seed, every run on one BLAS setup writes
+the same bytes.  Across BLAS thread counts and kernels, sigma and its
+bracket can differ in their last digits (ROADMAP item 11); no BLAS call
+computes the values of a CSV output, so those do not.
 Exit code 0 means every requested computation converged and validated.
 Input the package cannot use raises ValueError, a failed computation (a
 sigma(H) solve out of iterations) ArithmeticError and I/O OSError; main
@@ -332,7 +335,7 @@ def _verify_checks():
 
     def check_regular_asymptotic():
         est = math.exp(enumeration.bollobas_regular_count_log(6, 3))
-        return 0.5 <= est / 70.0 <= 2.0
+        return 0.5 <= est / _KNOWN_REGULAR_COUNTS[5][3] <= 2.0
 
     return [
         ("connected counts: three routes agree and match the pinned table", check_connected_routes),

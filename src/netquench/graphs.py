@@ -142,24 +142,19 @@ def read_graph(path) -> Graph:
     """Read the edge-list file at ``path`` (see textio.read_input).  A
     regular file whose first line is the vertex count alone, in ASCII
     digits, is parsed in bulk (see textio.bulk_rows) and checked as a whole
-    by Graph; any other file, and one that the bulk parse or Graph rejects,
-    goes to parse_edge_list, which names the first faulty line.  Both paths
-    take the same files to the same graph."""
+    by Graph; where the first line, the bulk parse or Graph raises
+    ValueError, and for any other file, parse_edge_list reads it and names
+    the first faulty line.  Both paths take the same files to the same graph."""
     return read_input(path, _bulk_edge_list, parse_edge_list)
 
 
-def _bulk_edge_list(fh) -> Graph | None:
-    """read_graph's bulk path: the graph, or None where it is not taken."""
+def _bulk_edge_list(fh) -> Graph:
+    """read_graph's bulk path; Graph raises ValueError on n beyond MAX_ORDER,
+    a self-loop or an id outside 0..n-1."""
     head = fh.readline().strip()
     if not (head.isascii() and head.isdigit()):
-        return None
-    rows = bulk_rows(fh, _EDGE_ROW)
-    if rows is None:
-        return None
-    try:
-        return Graph(int(head), rows.view(np.int64).reshape(-1, 2))
-    except ValueError:  # n beyond MAX_ORDER, a self-loop or an id outside 0..n-1
-        return None
+        raise ValueError("first line is not a vertex count in ASCII digits")
+    return Graph(int(head), bulk_rows(fh, _EDGE_ROW).view(np.int64).reshape(-1, 2))
 
 
 def write_graph(g: Graph, path) -> None:

@@ -1,9 +1,10 @@
 """Text I/O shared by every command: one input reader, which parses a
 regular file in bulk and falls back to one line reader for any other file
 or any file the bulk parse rejects, one node-table reader, one stream
-opener, and one writer that turns numbers into text.  write_rows formats the data rows of every table
-(write_csv), edge list and simulate trajectory (state_writer, which hands it
-one state at a time with each node's ``i,`` formatted once per file).
+opener, and one writer that turns numbers into text.  write_rows formats
+the data rows of every table (write_csv), edge list and simulate trajectory
+(state_writer, which hands it one state at a time with each node's ``i,``
+formatted once per file).
 Files are UTF-8 with ``\\n`` line endings; a CSV is the header line, then
 the data rows.  Ints are written in decimal, floats as Python's shortest
 round-trip repr (``1e-05``, ``0.0001``, ``1e+16``, ``5e-324``).  When the
@@ -23,6 +24,7 @@ import contextlib
 import os
 import stat
 import sys
+import warnings
 from array import array
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -46,39 +48,35 @@ def data_lines(lines: Iterable[str], sep: str | None = None) -> Iterator[tuple[i
             yield lineno, line.split(sep)
 
 
-def read_input(path, bulk: Callable[[TextIO], _T | None], per_line: Callable[[TextIO], _T]) -> _T:
+def read_input(path, bulk: Callable[[TextIO], _T], per_line: Callable[[TextIO], _T]) -> _T:
     """Read the input file at ``path`` as UTF-8 text (a leading byte-order
-    mark skipped).  A regular file goes to ``bulk(fh)`` first, and then,
-    where that returns None, to ``per_line(fh)`` from its start; any other
-    file (a FIFO, /dev/stdin) cannot be read twice and goes to ``per_line``
-    alone.  Returns what the reader that read it returns."""
+    mark skipped).  A regular file goes to ``bulk(fh)`` first, warnings
+    raised as errors; where that raises ValueError, OverflowError or a
+    warning, the file goes to ``per_line(fh)`` from its start, which names
+    the first fault (any other exception propagates).  Any other file (a
+    FIFO, /dev/stdin) cannot be read twice and goes to ``per_line`` alone."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            result = bulk(fh)
-            if result is not None:
-                return result
-            fh.seek(0)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # among them "input contained no data"
+                    return bulk(fh)
+            except (ValueError, OverflowError, Warning):
+                fh.seek(0)
         return per_line(fh)
 
 
-def bulk_rows(fh: TextIO, dtype: np.dtype, sep: str | None = None) -> np.ndarray | None:
+def bulk_rows(fh: TextIO, dtype: np.dtype, sep: str | None = None) -> np.ndarray:
     """The rest of the open text file ``fh`` parsed by numpy's C reader
     (np.loadtxt) as a 1-d array of the structured ``dtype``, one entry per
     line that is not blank, fields split on ``sep`` (None: whitespace) and
-    ``#`` no comment.  None when it finds no row, or a row it cannot parse
-    into ``dtype`` exactly (a wrong field count, a number it does not
-    take), or warns (as numpy before 2.0 does on ``1.0`` for an int): the
-    caller then reads the file line by line, which names the fault."""
-    import warnings
-
+    ``#`` no comment.  A file with no row, or a row it cannot parse into
+    ``dtype`` exactly (a wrong field count, a number it does not take),
+    raises ValueError or warns (as numpy before 2.0 does on ``1.0`` for an
+    int): under read_input, either sends the file to the per-line reader."""
     import numpy as np
 
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # among them "input contained no data"
-            return np.loadtxt(fh, dtype=dtype, delimiter=sep, comments=None, ndmin=1)
-    except (ValueError, OverflowError, Warning):
-        return None
+    return np.loadtxt(fh, dtype=dtype, delimiter=sep, comments=None, ndmin=1)
 
 
 def read_node_table(path, columns: tuple[str, ...], n: int) -> tuple[np.ndarray, int]:
@@ -88,29 +86,28 @@ def read_node_table(path, columns: tuple[str, ...], n: int) -> tuple[np.ndarray,
     not repeat an earlier line's.
 
     A regular file whose first line is the header is parsed in bulk (see
-    bulk_rows) and checked as a whole.  Any other file, and one that the
-    bulk parse or its checks reject, is read line by line, each data line
-    checked as it is read: its field count, its numbers, then its node id.
-    The first fault in the file raises ValueError naming its line, so both
-    paths take the same files to the same table."""
+    bulk_rows) and checked as a whole, raising ValueError (see read_input)
+    on a bad header, an id outside ``0..n-1`` or a repeated id.  Any other
+    file, and one the bulk path rejects, is read line by line, each data
+    line checked as it is read: its field count, its numbers, then its node
+    id.  The first fault in the file raises ValueError naming its line, so
+    both paths take the same files to the same table."""
     import numpy as np  # here, so that the enum commands start without numpy
 
     header = ",".join(("node", *columns))
     row = np.dtype([("node", np.int64), ("v", np.float64, (len(columns),))])
 
-    def bulk(fh: TextIO) -> tuple[np.ndarray, int] | None:
+    def bulk(fh: TextIO) -> tuple[np.ndarray, int]:
         if fh.readline().strip() != header:
-            return None
+            raise ValueError("no header")
         rows = bulk_rows(fh, row, ",")
-        if rows is None:
-            return None
         ids = rows["node"]
         if ids.min() < 0 or ids.max() >= n:
-            return None
+            raise ValueError("node id out of range")
         seen = np.zeros(n, dtype=bool)
         seen[ids] = True
-        if np.count_nonzero(seen) < ids.size:  # a repeated id
-            return None
+        if np.count_nonzero(seen) < ids.size:
+            raise ValueError("repeated node id")
         table = np.zeros((n, len(columns)))
         table[ids] = rows["v"]
         return table, ids.size

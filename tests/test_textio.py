@@ -1,12 +1,13 @@
 """The shared input rules: every reader skips blank and ``#`` lines (indented
 ones too), skips a leading byte-order mark, and names the line of a
 malformed row; the bulk path's grammar, values and messages against the
-per-line reader's, and a FIFO read once, line by line; the row writer's
-number format, and the bytes of its join path (runs of repeated rows)
-against its per-chunk ``%`` path; the trajectory writer's bytes against the
-row writer's, with and without its forked formatting helper, and the
-helper's memory and clean-up; and the output opener's clean-up after a
-failed write."""
+per-line reader's, a FIFO read once, line by line, and which exceptions
+send a file to the per-line reader (ValueError and warnings, not OSError);
+the row writer's number format, and the bytes of its join path (runs of
+repeated rows) against its per-chunk ``%`` path; the trajectory writer's
+bytes against the row writer's, with and without its forked formatting
+helper, and the helper's memory and clean-up; and the output opener's
+clean-up after a failed write."""
 
 import hashlib
 import io
@@ -14,6 +15,7 @@ import os
 import signal
 import threading
 import tracemalloc
+import warnings
 from functools import partial
 from itertools import repeat
 
@@ -291,11 +293,14 @@ def test_bulk_path_matches_the_per_line_reader(tmp_path, per_line_calls, name):
         assert per_line_calls == ([] if bulk else [referee])
 
 
+# per format, a file the bulk path takes when it is regular
+BULK_TAKEN = {"edges": "4\n0 1\n1 2\n", "params": PARITY["params-plain"][1],
+              "p0": PARITY["p0-plain"][1]}
+
+
 @pytest.mark.parametrize("fmt", sorted(BULK_FIRST))
 def test_a_fifo_is_read_once_line_by_line(tmp_path, per_line_calls, fmt):
-    # a file the bulk path takes when it is regular
-    text = {"edges": "4\n0 1\n1 2\n", "params": PARITY["params-plain"][1],
-            "p0": PARITY["p0-plain"][1]}[fmt]
+    text = BULK_TAKEN[fmt]
     regular = tmp_path / "regular"
     regular.write_text(text)
     expected = outcome(lambda: BULK_FIRST[fmt](regular))
@@ -308,6 +313,46 @@ def test_a_fifo_is_read_once_line_by_line(tmp_path, per_line_calls, fmt):
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert len(per_line_calls) == 1
+
+
+def patch_bulk_rows(monkeypatch, after):
+    """Make the bulk readers' bulk_rows call ``after()`` once np.loadtxt has
+    parsed the file."""
+    def patched(*args, _read=textio.bulk_rows):
+        rows = _read(*args)
+        after()
+        return rows
+    for owner in (graphs, textio):
+        monkeypatch.setattr(owner, "bulk_rows", patched)
+
+
+def fail(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("fmt", sorted(BULK_FIRST))
+def test_an_os_error_in_the_bulk_path_propagates(tmp_path, per_line_calls, monkeypatch, fmt):
+    path = tmp_path / "input"
+    path.write_text(BULK_TAKEN[fmt])
+    patch_bulk_rows(monkeypatch, lambda: fail(OSError("disk gone")))
+    with pytest.raises(OSError, match="^disk gone$"):
+        BULK_FIRST[fmt](path)
+    assert per_line_calls == []
+
+
+@pytest.mark.parametrize("reject", [lambda: fail(ValueError("rejected")),
+                                    lambda: warnings.warn("rejected", RuntimeWarning)],
+                         ids=["value-error", "warning"])
+@pytest.mark.parametrize("fmt", sorted(BULK_FIRST))
+def test_a_reject_outside_loadtxt_falls_back_once(tmp_path, per_line_calls, monkeypatch, fmt,
+                                                   reject):
+    path = tmp_path / "input"
+    path.write_text(BULK_TAKEN[fmt])
+    expected = outcome(lambda: BULK_FIRST[fmt](path))
+    assert per_line_calls == []
+    patch_bulk_rows(monkeypatch, reject)
+    assert outcome(lambda: BULK_FIRST[fmt](path)) == expected
+    assert per_line_calls == ["parse_edge_list" if fmt == "edges" else "_read_node_lines"]
 
 
 def test_write_csv_number_format(tmp_path):
