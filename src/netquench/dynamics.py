@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,19 +159,33 @@ def as_state(p: Sequence[float], n: int) -> np.ndarray:
     return arr
 
 
-def _neighbor_sums(g: Graph, x: np.ndarray) -> np.ndarray:
-    """(A x)_i = sum of x over the neighbors of i."""
-    out = np.zeros(g.n)
-    if g.indices.size:
-        nz = g.degrees > 0
-        out[nz] = np.add.reduceat(x[g.indices], g.indptr[:-1][nz])
-    return out
+class _RowGraph(NamedTuple):
+    """A graph's CSR with ``rows``, the row of each entry of ``indices``,
+    which spectral_radius builds once per solve (8 bytes per entry)."""
+
+    n: int
+    indices: np.ndarray
+    degrees: np.ndarray
+    rows: np.ndarray
+
+
+def _neighbor_sums(g: Graph | _RowGraph, x: np.ndarray) -> np.ndarray:
+    """(A x)_i = sum of x over the neighbors of i: one bincount over the row
+    of each CSR entry, built here for a plain Graph."""
+    rows = g.rows if isinstance(g, _RowGraph) else np.repeat(np.arange(g.n), g.degrees)
+    return np.bincount(rows, weights=x[g.indices], minlength=g.n)
 
 
 def zeta_vector(g: Graph, params: NodeParams, p: np.ndarray) -> np.ndarray:
     """zeta_i = prod over neighbors j of (1 - beta_i r_i p_j); the probability
     that node i escapes infection by all neighbors this step.  Empty products
-    (isolated vertices) are 1."""
+    (isolated vertices) are 1.
+
+    A factor whose beta_i r_i p_j is below about 1e-16 rounds to 1, so a
+    tiny state loses its infection term and only decays, whatever sigma(H):
+    on ``generate regular --n 200 --r 3 --seed 1`` with mu = 0.8, beta = 0.3,
+    r = 1 (sigma(H) = 1.1, certified unstable), simulate from
+    ``uniform:1e-20`` ends ``extinct,435``."""
     _check_sizes(g, params)
     w = params.beta * params.r
     zeta = np.ones(g.n)
@@ -331,11 +345,18 @@ def spectral_radius(g: Graph, params: NodeParams) -> SpectralEstimate:
     w_i = 0 have empty off-diagonal rows in H, hence sigma(H) = max(sigma of
     the block of live nodes (w > 0), max over the others of 1 - mu_i); only
     the live block is iterated.  Lanczos runs on it from the normalised
-    all-ones vector with a basis of LANCZOS_BASIS vectors and full
-    reorthogonalisation; a full basis restarts from its top half of Ritz
-    vectors (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  It stops
-    when the residual of the top Ritz pair (theta, y) drops below
-    LANCZOS_TOL or the basis spans the block.
+    all-ones vector with a basis of LANCZOS_BASIS vectors; a full basis
+    restarts from its top half of Ritz vectors (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000).  Each product with A is one bincount over the row
+    of each CSR entry, an array built once per solve.  Each product q = S v_j
+    is kept orthogonal to the basis in three steps: the known Lanczos terms
+    go first (b_{j-1} v_{j-1}, except on the first vector of a restart
+    cycle, then alpha_j v_j with alpha_j = v_j . q); then one classical
+    Gram-Schmidt pass against the basis; then a second pass only when the
+    first leaves at most half of |q|^2 (the DGKS test: Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30, 1976).  It stops when the residual
+    of the top Ritz pair (theta, y) drops below LANCZOS_TOL or the basis
+    spans the block.
 
     For any nonnegative x, min (Hx)_i/x_i over the support of x is a lower
     bound on sigma(H), and for positive x, max (Hx)_i/x_i is an upper bound.
@@ -359,6 +380,7 @@ def spectral_radius(g: Graph, params: NodeParams) -> SpectralEstimate:
         # 0-24% dead, 13x slower at 90% (0.54 s against 0.04 s, BA n = 10^5)
         # and moved the last digits of sigma.
         g, params = _live_block(g, params, live)
+    g = _RowGraph(g.n, g.indices, g.degrees, np.repeat(np.arange(g.n), g.degrees))
     s = np.sqrt(params.beta * params.r)
     d = 1.0 - params.mu
     n = g.n
@@ -381,14 +403,24 @@ def spectral_radius(g: Graph, params: NodeParams) -> SpectralEstimate:
     while not converged:
         for j in range(first, m):
             spend()
-            q = d * basis[j] + s * _neighbor_sums(g, s * basis[j])
+            v = basis[j]
+            q = d * v + s * _neighbor_sums(g, s * v)
             h = np.zeros(j + 1)
-            for _ in range(2):  # full reorthogonalisation; twice is enough
+            if j > first:  # S couples v_j to v_{j-1} by the b that normalised v_j
+                h[j - 1] = b
+                q -= b * basis[j - 1]
+            h[j] = v @ q
+            q -= h[j] * v
+            norm2 = float(q @ q)
+            for _ in range(2):  # a second pass only when the DGKS test fails
                 c = basis[: j + 1] @ q
                 q -= basis[: j + 1].T @ c
                 h += c
+                before, norm2 = norm2, float(q @ q)
+                if norm2 > 0.5 * before:
+                    break
             proj[j, : j + 1] = proj[: j + 1, j] = h
-            b = float(np.linalg.norm(q))
+            b = math.sqrt(norm2)
             ritz, vecs = np.linalg.eigh(proj[: j + 1, : j + 1])
             theta, z = float(ritz[-1]), vecs[:, -1]
             converged = b * abs(z[-1]) < LANCZOS_TOL or j + 1 == n

@@ -535,6 +535,77 @@ class TestSpectralRadius:
         assert est.lower <= est.sigma <= est.upper
         assert 0.9350080573991937 > est.upper
 
+    # product counts, verdicts and sigma of the raw and the kappa = 0.9 tuned
+    # solve, as a solver with two Gram-Schmidt passes on every product gave
+    # them: a cheaper orthogonalisation must not cost products
+    @pytest.mark.parametrize("n, seed, raw, tuned", [
+        (300, 7, (38, 1.369459534362493, "unstable"), (121, 0.9244971370755181, "stable")),
+        (300, 4, (35, 1.365792037672093, "unstable"), (115, 0.9093201338886616, "stable")),
+        (600, 7, (30, 1.72872014490276, "unstable"), (156, 0.9198991843908716, "stable")),
+        (5000, 4, (53, 1.7180044835312809, "unstable"), (189, 0.9457331378753848, "stable")),
+    ])
+    def test_product_counts_are_pinned(self, n, seed, raw, tuned):
+        # BA(n, 3, 2) with mu, beta, r drawn from default_rng(seed) in that order
+        g = generate_barabasi_albert(n, 3, 2, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = NodeParams(rng.uniform(0.1, 1.0, n), rng.uniform(0.01, 0.3, n),
+                            rng.uniform(0.2, 1.0, n))
+        tuned_params = tune_betas(g, params, select_nodes(g, params), kappa=0.9)
+        for p, (products, sigma, verdict) in ((params, raw), (tuned_params, tuned)):
+            est = spectral_radius(g, p)
+            assert (est.iterations, est.verdict) == (products, verdict)
+            assert est.sigma == pytest.approx(sigma, abs=1e-12)
+
+    @staticmethod
+    def _star_of_stars(centers, leaves):
+        # hub 0, centers 1..centers, each center with its own leaves
+        edges = [(0, c) for c in range(1, centers + 1)]
+        leaf = centers + 1
+        for c in range(1, centers + 1):
+            edges += [(c, leaf + k) for k in range(leaves)]
+            leaf += leaves
+        return Graph(leaf, edges)
+
+    @staticmethod
+    def _three_copies(n, seed):
+        # three disjoint copies of one BA(n) with equal params: sigma(H) is a
+        # triple eigenvalue of S
+        g = generate_barabasi_albert(n, 3, 2, seed=seed)
+        rows = np.repeat(np.arange(n), g.degrees)
+        pairs = np.column_stack((rows, g.indices))
+        rng = np.random.default_rng(seed)
+        mu, beta, r = (np.tile(rng.uniform(lo, 1.0, n), 3) for lo in (0.1, 0.01, 0.2))
+        return Graph(3 * n, np.concatenate([pairs + k * n for k in range(3)])), NodeParams(mu, beta, r)
+
+    @pytest.mark.parametrize("case", ["three-copies", "three-copies-tuned", "star-of-stars",
+                                      "small-star-of-stars", "two-big-stars"])
+    def test_orthogonality_kept_on_repeated_spectra(self, case):
+        # a repeated top eigenvalue, a spectrum of a few values each repeated
+        # many times, or a block barely larger than the basis, where q is
+        # mostly rounding once the basis nearly spans it: where a basis that
+        # loses orthogonality shows.  One plain Gram-Schmidt pass without the
+        # local terms runs out of products on both small stars.
+        if case.startswith("three-copies"):
+            g, params = self._three_copies(200, 3)
+            if case.endswith("tuned"):
+                params = tune_betas(g, params, select_nodes(g, params), kappa=0.9)
+        elif case == "star-of-stars":
+            g = self._star_of_stars(30, 20)
+            params = NodeParams.homogeneous(g.n, 0.3, 0.2, 0.9)
+        else:
+            g = self._star_of_stars(5, 3) if case == "small-star-of-stars" else self._star_of_stars(2, 11)
+            rng = np.random.default_rng(0)
+            params = NodeParams(rng.uniform(0.1, 1.0, g.n), rng.uniform(0.01, 0.3, g.n),
+                                rng.uniform(0.2, 1.0, g.n))
+        s = np.sqrt(params.beta * params.r)
+        dense_s = np.diag(1.0 - params.mu)
+        dense_s[np.repeat(np.arange(g.n), g.degrees), g.indices] = np.repeat(s, g.degrees) * s[g.indices]
+        ref = np.linalg.eigvalsh(dense_s)[-1]
+        est = spectral_radius(g, params)
+        assert abs(est.sigma - ref) < 1e-10
+        assert est.lower <= est.sigma <= est.upper
+        assert est.lower - 1e-12 <= ref <= est.upper + 1e-12
+
 
 class TestThresholdCheck:
     def test_stable_without_infection(self):
