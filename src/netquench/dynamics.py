@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -159,21 +159,10 @@ def as_state(p: Sequence[float], n: int) -> np.ndarray:
     return arr
 
 
-class _RowGraph(NamedTuple):
-    """A graph's CSR with ``rows``, the row of each entry of ``indices``,
-    which spectral_radius builds once per solve (8 bytes per entry)."""
-
-    n: int
-    indices: np.ndarray
-    degrees: np.ndarray
-    rows: np.ndarray
-
-
-def _neighbor_sums(g: Graph | _RowGraph, x: np.ndarray) -> np.ndarray:
+def _neighbor_sums(g: Graph, x: np.ndarray) -> np.ndarray:
     """(A x)_i = sum of x over the neighbors of i: one bincount over the row
-    of each CSR entry, built here for a plain Graph."""
-    rows = g.rows if isinstance(g, _RowGraph) else np.repeat(np.arange(g.n), g.degrees)
-    return np.bincount(rows, weights=x[g.indices], minlength=g.n)
+    of each CSR entry, which the graph keeps."""
+    return np.bincount(g._rows, weights=x[g.indices], minlength=g.n)
 
 
 def zeta_vector(g: Graph, params: NodeParams, p: np.ndarray) -> np.ndarray:
@@ -330,9 +319,8 @@ def _live_block(g: Graph, params: NodeParams, live: np.ndarray) -> tuple[Graph, 
     """The subgraph induced on the nodes where ``live`` holds, with their params."""
     ids = np.flatnonzero(live)
     new_id = np.cumsum(live) - 1
-    rows = np.repeat(np.arange(g.n), g.degrees)
-    keep = live[rows] & live[g.indices]
-    pairs = np.column_stack((new_id[rows[keep]], new_id[g.indices[keep]]))
+    keep = live[g._rows] & live[g.indices]
+    pairs = np.column_stack((new_id[g._rows[keep]], new_id[g.indices[keep]]))
     return Graph(ids.size, pairs), NodeParams(params.mu[ids], params.beta[ids], params.r[ids])
 
 
@@ -348,7 +336,7 @@ def spectral_radius(g: Graph, params: NodeParams) -> SpectralEstimate:
     all-ones vector with a basis of LANCZOS_BASIS vectors; a full basis
     restarts from its top half of Ritz vectors (Wu & Simon, SIAM J. Matrix
     Anal. Appl. 22, 2000).  Each product with A is one bincount over the row
-    of each CSR entry, an array built once per solve.  Each product q = S v_j
+    of each CSR entry, which the graph keeps.  Each product q = S v_j
     is kept orthogonal to the basis in three steps: the known Lanczos terms
     go first (b_{j-1} v_{j-1}, except on the first vector of a restart
     cycle, then alpha_j v_j with alpha_j = v_j . q); then one classical
@@ -380,7 +368,6 @@ def spectral_radius(g: Graph, params: NodeParams) -> SpectralEstimate:
         # 0-24% dead, 13x slower at 90% (0.54 s against 0.04 s, BA n = 10^5)
         # and moved the last digits of sigma.
         g, params = _live_block(g, params, live)
-    g = _RowGraph(g.n, g.indices, g.degrees, np.repeat(np.arange(g.n), g.degrees))
     s = np.sqrt(params.beta * params.r)
     d = 1.0 - params.mu
     n = g.n

@@ -367,6 +367,20 @@ class TestLinearBound:
             h = dense_bound_matrix(g, params)
             assert np.allclose(h @ x, linear_bound_step(g, params, x), atol=1e-12)
 
+    def test_neighbor_sums_allocate_the_gather_and_the_sums_only(self):
+        # x[indices] takes 8 bytes per entry and the sums 8 per node; a row
+        # array built on each call, or a read-only one that np.bincount
+        # copies, adds 8 per entry: 7.20 MB against 4.00 MB here
+        g = generate_barabasi_albert(10**5, 3, 2, seed=7)
+        x = np.random.default_rng(7).random(g.n)
+        tracemalloc.start()
+        try:
+            dynamics._neighbor_sums(g, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * g.indices.size + 8 * g.n + 64 * 1024
+
     def test_dense_limit_guard(self):
         with pytest.raises(ValueError, match="dense"):
             dense_bound_matrix(generate_ring(13), NodeParams.homogeneous(13, 0.5, 0.5, 0.5))

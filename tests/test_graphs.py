@@ -220,6 +220,10 @@ class TestCsrConstruction:
         assert built.degrees.tolist() == degrees
         for arr in (built.indptr, built.indices, built.degrees):
             assert arr.dtype == np.int64 and not arr.flags.writeable
+        # the row of each entry, kept writeable so that np.bincount reads it in place
+        rows = np.repeat(np.arange(g.n), np.array(degrees, dtype=np.int64))
+        assert built._rows.tolist() == rows.tolist()
+        assert built._rows.dtype == np.int64 and built._rows.flags.writeable
         assert built == g and hash(built) == hash(g)
         assert built.num_edges == len(canon)
 
